@@ -76,7 +76,6 @@ func streamSession(cat *uarch.Catalog, cfg stream.Config, kind bayesperf.Schedul
 		bayesperf.WithWorkers(cfg.Workers),
 		bayesperf.WithBatch(cfg.Batch),
 		bayesperf.WithCovariance(cfg.Covariance),
-		bayesperf.WithFastMath(cfg.FastMath),
 		bayesperf.WithInference(cfg.MaxIter, cfg.Tol),
 		bayesperf.WithScheduler(kind),
 		bayesperf.WithDerived(derived),
@@ -135,7 +134,7 @@ func runStreamCatalog(cat *uarch.Catalog, wl measure.Workload, cfg stream.Config
 	}
 
 	// Batch cross-check: the whole-run pipeline on the same trace.
-	batch, err := runCatalog(cat, wl, cfg.Mux, seed, cfg.MaxIter, cfg.Tol, cfg.FastMath, reg)
+	batch, err := runCatalog(cat, wl, cfg.Mux, seed, cfg.MaxIter, cfg.Tol, reg)
 	if err != nil {
 		return rep, err
 	}
@@ -148,9 +147,9 @@ func printStreamReport(rep streamReport, cfg stream.Config, quiet, derived bool)
 	// Windows/duration/converged on this line all describe the round-robin
 	// run; the adaptive run's convergence is reported with its comparison
 	// line below.
-	fmt.Printf("window=%d hop=%d workers=%d batch=%d cov=%v gumbel=%v kernel=%s   %d windows in %v (converged=%v unconverged=%d sweeps=%d)\n",
+	fmt.Printf("window=%d hop=%d workers=%d batch=%d cov=%v gumbel=%v   %d windows in %v (converged=%v unconverged=%d sweeps=%d)\n",
 		cfg.Window, cfg.Hop, cfg.Workers, cfg.Batch, cfg.Covariance, cfg.Mux.GumbelReject,
-		kernelName(cfg.FastMath), rep.Windows, rep.Duration.Round(time.Millisecond),
+		rep.Windows, rep.Duration.Round(time.Millisecond),
 		rep.RRConverged, rep.Unconverged, rep.TotalSweeps)
 	if !quiet {
 		fmt.Printf("aligned per-interval error (DTW, mean over events):\n")
@@ -229,7 +228,6 @@ func streamMain(args []string) {
 		cfg.Batch = *batch
 	}
 	cfg.Covariance = *cov
-	cfg.FastMath = *sf.fast
 	maxIter, tol := sf.inference()
 	if maxIter > 0 {
 		cfg.MaxIter = maxIter

@@ -12,14 +12,16 @@
 //	    go run ./cmd/benchjson -out BENCH_graph.json
 //	{ go test -run='^$' -bench=StreamBatched -benchtime=20x -count=3 ./internal/stream
 //	  for i in 1 2 3 4 5 6; do
-//	    go test -run='^$' -bench='StreamBatched/batch=8/' -benchtime=20x ./internal/stream
+//	    go test -run='^$' -bench='StreamBatched/^batch=8$' -benchtime=20x ./internal/stream
 //	  done; } | go run ./cmd/benchjson -out BENCH_stream.json
 //	go test -run='^$' -bench=Obs -benchtime=10000000x -count=3 ./internal/obs |
 //	    go run ./cmd/benchjson -out BENCH_obs.json
 //
-// (The stream refresh appends interleaved runs of the batch=8 pairs so the
-// '/obs' instrumented variants and their metrics-off twins are measured
-// under the same machine conditions — see the obs gate below.)
+// (The stream refresh appends interleaved runs of the batch=8 pair so the
+// '/obs' instrumented variant and its metrics-off twin are measured under
+// the same machine conditions — see the obs gate below. The pattern
+// anchors the leaf: `StreamBatched/batch=8/` would run batch=8/obs but
+// only partially match, and so not report, its depth-2 twin batch=8.)
 //
 // Check mode (CI): parse a fresh run, optionally emit it as a JSON
 // artifact, and fail loudly when any benchmark's per-window time regresses
@@ -33,10 +35,12 @@
 // Obs-overhead mode (CI's metrics overhead gate): with -obs-max-ratio and
 // no -out/-check, every '<name>/obs' benchmark is compared against its
 // '<name>' twin from the SAME input and fails past the ratio — the bound
-// on what live instrumentation may cost the pipeline:
+// on what live instrumentation may cost the pipeline. An '/obs' benchmark
+// without its twin, or an input with no pair at all, fails the gate too,
+// so a renamed benchmark or a mistyped -bench pattern cannot turn it off:
 //
 //	for i in 1 2 3 4 5 6; do
-//	    go test -run='^$' -bench='StreamBatched/batch=8/' -benchtime=20x ./internal/stream
+//	    go test -run='^$' -bench='StreamBatched/^batch=8$' -benchtime=20x ./internal/stream
 //	done | go run ./cmd/benchjson -obs-max-ratio 1.05
 //
 // The recorded metric is ns/window when the benchmark reports one
@@ -169,8 +173,10 @@ func checkAgainst(base, cur map[string]entry, maxRatio, maxAllocRatio, allocSlac
 // twin "<name>" from the SAME run and fails when instrumentation costs more
 // than obsMaxRatio of the uninstrumented time. Comparing within one run
 // (not against the committed baseline) keeps the gate machine-independent:
-// both sides saw the same CPU, load, and scaling.
-func checkObsOverhead(cur map[string]entry, obsMaxRatio float64) (regs []regression) {
+// both sides saw the same CPU, load, and scaling. It also returns the
+// number of pairs compared and the '/obs' benchmarks that had no twin;
+// the caller fails on either an unpaired name or zero pairs.
+func checkObsOverhead(cur map[string]entry, obsMaxRatio float64) (regs []regression, pairs int, unpaired []string) {
 	for name, c := range cur {
 		base, ok := strings.CutSuffix(name, "/obs")
 		if !ok {
@@ -178,14 +184,29 @@ func checkObsOverhead(cur map[string]entry, obsMaxRatio float64) (regs []regress
 		}
 		b, ok := cur[base]
 		if !ok {
+			unpaired = append(unpaired, name)
 			continue
 		}
+		pairs++
 		if c.NsPerWindow > obsMaxRatio*b.NsPerWindow {
 			regs = append(regs, regression{name, "obs overhead ns/window", c.NsPerWindow, b.NsPerWindow, obsMaxRatio * b.NsPerWindow})
 		}
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].name < regs[j].name })
-	return regs
+	sort.Strings(unpaired)
+	return regs, pairs, unpaired
+}
+
+// obsGateErr reports why the overhead gate compared nothing it was asked
+// to: an '/obs' benchmark whose twin is missing, or no pair at all.
+func obsGateErr(pairs int, unpaired []string) error {
+	if len(unpaired) > 0 {
+		return fmt.Errorf("benchjson: '/obs' benchmarks without a metrics-off twin in the same input: %s", strings.Join(unpaired, ", "))
+	}
+	if pairs == 0 {
+		return fmt.Errorf("benchjson: no '<name>/obs' + '<name>' pairs on stdin for the overhead gate")
+	}
+	return nil
 }
 
 func writeJSON(path string, doc baseline) error {
@@ -223,18 +244,10 @@ func main() {
 	doc := baseline{Note: refreshNote, CPU: cpu, Benchmarks: cur}
 
 	if obsOnly {
-		regs := checkObsOverhead(cur, *obsMaxRatio)
-		pairs := 0
-		for name := range cur {
-			if strings.HasSuffix(name, "/obs") {
-				if _, ok := cur[strings.TrimSuffix(name, "/obs")]; ok {
-					pairs++
-				}
-			}
-		}
-		if pairs == 0 {
-			fmt.Fprintln(os.Stderr, "benchjson: no '<name>/obs' + '<name>' pairs on stdin for the overhead gate")
-			os.Exit(2)
+		regs, pairs, unpaired := checkObsOverhead(cur, *obsMaxRatio)
+		if err := obsGateErr(pairs, unpaired); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "benchjson: FAIL: %s %s at %.4g (metrics-off twin %.4g, gate %.4g)\n",
@@ -276,7 +289,12 @@ func main() {
 
 	regs, missing, freshNames := checkAgainst(base.Benchmarks, cur, *maxRatio, *maxAllocRatio, *allocSlack)
 	if *obsMaxRatio > 0 {
-		regs = append(regs, checkObsOverhead(cur, *obsMaxRatio)...)
+		obsRegs, pairs, unpaired := checkObsOverhead(cur, *obsMaxRatio)
+		if err := obsGateErr(pairs, unpaired); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		regs = append(regs, obsRegs...)
 	}
 	for _, name := range freshNames {
 		fmt.Printf("benchjson: note: %s is not in %s (refresh the baseline to start tracking it)\n", name, *check)

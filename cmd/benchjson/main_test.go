@@ -89,20 +89,52 @@ BenchmarkX-8   100   6000 ns/op   12 allocs/op
 
 func TestCheckObsOverhead(t *testing.T) {
 	cur := map[string]entry{
-		"s/batch=8/exact":     {NsPerWindow: 10000},
-		"s/batch=8/exact/obs": {NsPerWindow: 10300}, // 3% — within 5%
-		"s/batch=8/fast":      {NsPerWindow: 8000},
-		"s/batch=8/fast/obs":  {NsPerWindow: 8900}, // 11.25% — over
-		"s/batch=1/obs":       {NsPerWindow: 100},  // twin absent: skipped
+		"s/batch=8":      {NsPerWindow: 10000},
+		"s/batch=8/obs":  {NsPerWindow: 10300}, // 3% — within 5%
+		"s/batch=32":     {NsPerWindow: 8000},
+		"s/batch=32/obs": {NsPerWindow: 8900}, // 11.25% — over
 	}
-	regs := checkObsOverhead(cur, 1.05)
-	if len(regs) != 1 || regs[0].name != "s/batch=8/fast/obs" {
-		t.Fatalf("regs = %+v, want only the fast/obs pair", regs)
+	regs, pairs, unpaired := checkObsOverhead(cur, 1.05)
+	if len(regs) != 1 || regs[0].name != "s/batch=32/obs" {
+		t.Fatalf("regs = %+v, want only the batch=32/obs pair", regs)
 	}
 	if regs[0].gate != 1.05*8000 {
 		t.Errorf("gate = %v, want %v", regs[0].gate, 1.05*8000)
 	}
-	if regs = checkObsOverhead(cur, 1.2); len(regs) != 0 {
+	if pairs != 2 || len(unpaired) != 0 {
+		t.Errorf("pairs = %d unpaired = %v, want 2 and none", pairs, unpaired)
+	}
+	if err := obsGateErr(pairs, unpaired); err != nil {
+		t.Errorf("complete input rejected: %v", err)
+	}
+	if regs, _, _ = checkObsOverhead(cur, 1.2); len(regs) != 0 {
 		t.Errorf("relaxed ratio still flagged: %+v", regs)
+	}
+}
+
+// TestObsGateCannotGoInert: the overhead gate fails, rather than passing
+// vacuously, when an '/obs' benchmark lost its twin (a renamed benchmark,
+// or a -bench pattern that only partially matches the twin) or when the
+// input holds no pair at all.
+func TestObsGateCannotGoInert(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cur  map[string]entry
+	}{
+		{"unpaired obs", map[string]entry{
+			"s/batch=8":         {NsPerWindow: 10000},
+			"s/batch=8/obs":     {NsPerWindow: 10100},
+			"s/batch=8/old/obs": {NsPerWindow: 10100}, // twin s/batch=8/old absent
+		}},
+		{"only obs", map[string]entry{"s/batch=8/obs": {NsPerWindow: 10100}}},
+		{"no obs", map[string]entry{"s/batch=8": {NsPerWindow: 10000}}},
+	} {
+		regs, pairs, unpaired := checkObsOverhead(tc.cur, 1.05)
+		if len(regs) != 0 {
+			t.Errorf("%s: regs = %+v, want none", tc.name, regs)
+		}
+		if err := obsGateErr(pairs, unpaired); err == nil {
+			t.Errorf("%s: gate passed with %d pairs, unpaired %v", tc.name, pairs, unpaired)
+		}
 	}
 }

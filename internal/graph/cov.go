@@ -32,9 +32,9 @@ import (
 // steady-state extractions reuse them, which is what lets
 // extractCovariances carry the hotpath annotation.
 func (b *Batch) ensureCovScratch() {
-	if maxK := b.plan.maxCliqueSize(); len(b.covD) < maxK*b.lanes {
-		b.covD = make([]float64, maxK*b.lanes)
-		b.covCD = make([]float64, maxK*b.lanes)
+	if size := b.plan.maxK * b.lanes; len(b.covD) < size {
+		b.covD = make([]float64, size)
+		b.covCD = make([]float64, size)
 	}
 }
 

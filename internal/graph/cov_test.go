@@ -40,10 +40,11 @@ func TestCliqueCovarianceGolden2x2(t *testing.T) {
 	})
 	a, sa := 2.0e8, 0.04*2.0e8
 	b, sb := 1.9e8, 0.02*1.9e8
-	g := Build(cat)
-	g.Observe(cat.MustEvent("A"), a, sa)
-	g.Observe(cat.MustEvent("B"), b, sb)
-	res := g.Infer(500, 1e-12)
+	batch := Compile(cat).NewBatch(1)
+	batch.EnableCovariance()
+	batch.Observe(0, cat.MustEvent("A"), a, sa)
+	batch.Observe(0, cat.MustEvent("B"), b, sb)
+	res := batch.Execute(1, 500, 1e-12).Window(0)
 	if !res.Converged {
 		t.Fatalf("toy graph did not converge in %d iters", res.Iters)
 	}
@@ -138,12 +139,13 @@ func TestCovarianceAwareIPCStd(t *testing.T) {
 	aID, bID := cat.MustEvent("comp_a"), cat.MustEvent("comp_b")
 	cycID := cat.MustEvent("cycles")
 
-	g := Build(cat)
-	g.Observe(instID, 1.0e9, 0.001*1.0e9) // tight total pins the sum
-	g.Observe(aID, 6.2e8, 0.06*6.2e8)     // loose components
-	g.Observe(bID, 3.9e8, 0.05*3.9e8)
-	g.Observe(cycID, 8.0e8, 0.02*8.0e8)
-	res := g.Infer(500, 1e-11)
+	batch := Compile(cat).NewBatch(1)
+	batch.EnableCovariance()
+	batch.Observe(0, instID, 1.0e9, 0.001*1.0e9) // tight total pins the sum
+	batch.Observe(0, aID, 6.2e8, 0.06*6.2e8)     // loose components
+	batch.Observe(0, bID, 3.9e8, 0.05*3.9e8)
+	batch.Observe(0, cycID, 8.0e8, 0.02*8.0e8)
+	res := batch.Execute(1, 500, 1e-11).Window(0)
 	if !res.Converged {
 		t.Fatalf("toy graph did not converge in %d iters", res.Iters)
 	}
@@ -208,11 +210,12 @@ func TestCovarianceAwareIPCStd(t *testing.T) {
 func TestDerivedPosteriorCovUncoupledFallback(t *testing.T) {
 	cat := uarch.Skylake()
 	truth := skylakeTruth(cat)
-	g := Build(cat)
+	batch := Compile(cat).NewBatch(1)
+	batch.EnableCovariance()
 	for id, want := range truth {
-		g.Observe(uarch.EventID(id), want, 0.01*want)
+		batch.Observe(0, uarch.EventID(id), want, 0.01*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := batch.Execute(1, 200, 1e-9).Window(0)
 
 	d := cat.DerivedByName("IPC")
 	dm, ds := res.DerivedPosterior(d)

@@ -27,12 +27,12 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register 0 (fast_amd64.s).
 func xgetbv0() (eax, edx uint32)
 
-// fastRelAVX runs one relation's cavity + update passes over nVec 4-lane
-// groups: the vector form of the scalar relation body in sweepFast. bp/bh
-// are the belief slab bases; mp/mh point at the relation's first message
-// row; rv at the relation's noise row; coef/rowOff at the relation's first
-// edge. mask gates all persistent writes (frozen and padding lanes keep
-// their state bit for bit). stride8 is the slab row stride in bytes.
+// fastRelAVX runs one relation's cavity + update passes (fast.go) over nVec
+// 4-lane groups. bp/bh are the belief slab bases; mp/mh point at the
+// relation's first message row; rv at the relation's noise row;
+// coef/rowOff at the relation's first edge. mask gates all persistent
+// writes (frozen and padding lanes keep their state bit for bit). stride8
+// is the slab row stride in bytes.
 //
 //go:noescape
 func fastRelAVX(bp, bh, mp, mh, rv, coef *float64, rowOff *int64, k int64, stride8 int64, mask *float64, nVec int64)
@@ -49,9 +49,10 @@ func fastConvAVX(bp, bh, pp, ph, mask, moved *float64, tol float64, nv int64, st
 // the vector kernel's activeMask slab.
 var laneMaskOn = math.Float64frombits(^uint64(0))
 
-// ensureVecScratch sizes the lane-mask slab and precomputed byte row
-// offsets on first use; steady-state vector sweeps reuse them, which is
-// what lets sweepFastVec carry the hotpath annotation.
+// ensureVecScratch sizes the lane-mask slab, the precomputed byte row
+// offsets and the previous-sweep belief slabs on first use; steady-state
+// vector sweeps reuse them, which is what lets sweepFastVec carry the
+// hotpath annotation.
 func (b *Batch) ensureVecScratch() {
 	p := b.plan
 	if len(b.activeMask) < b.stride {
@@ -60,18 +61,24 @@ func (b *Batch) ensureVecScratch() {
 		for e := 0; e < p.nEdges; e++ {
 			b.rowOff[e] = int64(p.edgeVar[e]) * int64(b.stride) * 8
 		}
+		b.prevP = make([]float64, p.nv*b.stride)
+		b.prevH = make([]float64, p.nv*b.stride)
 	}
 }
 
-// sweepFastVec drives the AVX2 kernel: the Go side keeps the per-sweep loop
-// and the freeze bookkeeping (identical to the scalar schedule); the two
-// assembly routines do all lane math four lanes at a time.
+// sweepFastVec runs the fused-cavity schedule on the first n lanes until
+// per-lane convergence or maxIter, with the same freeze-on-convergence
+// semantics as sweepExact. The Go side keeps the per-sweep loop and the
+// freeze bookkeeping; the two assembly routines do all lane math four
+// lanes at a time.
 //
 //bayesperf:hotpath
 func (b *Batch) sweepFastVec(n, maxIter int, tol float64) {
 	p := b.plan
 	nv, B := p.nv, b.stride
 	b.ensureVecScratch()
+	copy(b.prevP, b.beliefPrec)
+	copy(b.prevH, b.beliefH)
 	mask := b.activeMask[:B]
 	for lane := 0; lane < B; lane++ {
 		if lane < n {

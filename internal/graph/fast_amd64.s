@@ -1,16 +1,13 @@
-// AVX2+FMA kernels for the fast-math message schedule (fast.go): the
+// AVX2+FMA kernels for the fused-cavity message schedule (fast.go): the
 // relation cavity+update body and the convergence test, four lanes per
-// instruction. The structure mirrors the scalar schedule exactly — backward
-// cavity pass recording weighted contributions and suffix sums, forward
-// update pass accumulating prefix sums — with per-lane branches replaced by
-// compare masks and blends. All persistent stores (messages, beliefs,
-// moved flags) are blended against the active-lane mask, so frozen and
-// padding lanes keep their state bit for bit and a lane's results never
-// depend on its neighbors or the batch width.
+// instruction. Per-lane branches are replaced by compare masks and blends.
+// All persistent stores (messages, beliefs, moved flags) are blended
+// against the active-lane mask, so frozen and padding lanes keep their
+// state bit for bit and a lane's results never depend on its neighbors or
+// the batch width.
 //
-// Rounding differs from the scalar schedule only where VFMADD contracts a
-// multiply-add; everything else is the same IEEE operation per lane. The
-// accuracy-delta gate (fast vs exact) covers both implementations.
+// The accuracy-delta gate (TestFastMathAccuracyDelta) bounds the drift
+// from the exact kernel.
 
 #include "textflag.h"
 

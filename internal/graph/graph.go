@@ -9,11 +9,8 @@
 // The engine is two-phase: Compile lowers a catalog once into a flat Plan
 // (dense index arrays plus a precomputed message schedule), and
 // Batch.Execute runs inference for many windows simultaneously over
-// contiguous structure-of-arrays slabs (see plan.go). The Graph type below
-// is the legacy single-window surface, now a thin wrapper over a one-lane
-// batch: Build/Observe/Infer produce posteriors bit-identical to the
-// pre-compilation implementation (asserted against a reference copy in the
-// tests).
+// contiguous structure-of-arrays slabs (see plan.go). A single window is a
+// one-lane batch: Compile(cat).NewBatch(1), Observe, Execute(1, …).Window(0).
 //
 // The graph works on whatever unit the caller observes (per-interval rates
 // or whole-run totals); internally all quantities are rescaled to O(1) so
@@ -61,59 +58,10 @@ func fromMoments(mean, variance float64) natural {
 // stabilizes loopy message passing on catalogs whose relations share events.
 const damping = 0.7
 
-// Graph is the single-window inference surface for one catalog: Build it,
-// Observe each measured event, then Infer. Between inference runs over the
-// same catalog (e.g. successive stream windows), ClearObservations resets
-// the measurement factors while keeping every allocation intact. Since the
-// compile/execute refactor it is a one-lane Batch over a compiled Plan;
-// callers inferring many windows should Compile once and Execute them in
-// wider batches instead.
-//
-// A Graph is not safe for concurrent use: parallel EP engines each build
-// their own (see internal/stream's worker pool).
-type Graph struct {
-	batch *Batch
-}
-
-// Build creates an inference graph over the catalog's events and invariants.
-func Build(cat *uarch.Catalog) *Graph {
-	b := Compile(cat).NewBatch(1)
-	b.EnableCovariance() // single-window Results always answer Cov/Corr
-	return &Graph{batch: b}
-}
-
-// Catalog returns the catalog the graph was built over.
-func (g *Graph) Catalog() *uarch.Catalog { return g.batch.plan.cat }
-
-// SetFastMath opts this graph's Infer into the fused-cavity fast schedule
-// (see Batch.FastMath): posteriors then agree with the exact kernel only to
-// a tight relative tolerance instead of bit for bit. Off by default; the
-// exact kernel remains the golden oracle.
-func (g *Graph) SetFastMath(on bool) { g.batch.FastMath = on }
-
-// SetMetrics attaches the graph-layer instrument set (see Batch.SetMetrics);
-// nil detaches. Posteriors are bitwise unaffected either way.
-func (g *Graph) SetMetrics(m *Metrics) { g.batch.SetMetrics(m) }
-
-// Observe attaches (or replaces) the measurement factor for an event:
-// the event's value is measured as N(mean, std²). For multiplexed counters
-// the std comes from the Student-t marginal of the per-interval samples
-// (measure.Multiplex); std must be positive.
-func (g *Graph) Observe(id uarch.EventID, mean, std float64) {
-	g.batch.Observe(0, id, mean, std)
-}
-
-// ClearObservations detaches every measurement factor so the graph can be
-// re-observed for the next measurement window without reallocating any of
-// the graph's buffers. Invariant factors (which come from the catalog) are
-// unaffected.
-func (g *Graph) ClearObservations() {
-	g.batch.ClearObservations()
-}
-
-// Result holds the posterior marginals after Infer (or one lane of a batch
-// Execute), indexed by EventID, plus the per-relation-clique posterior
-// covariances backing Cov/Corr/DerivedPosteriorCov (see cov.go).
+// Result holds one window's posterior marginals (one lane of a batch
+// Execute, see BatchResult.Window), indexed by EventID, plus the
+// per-relation-clique posterior covariances backing
+// Cov/Corr/DerivedPosteriorCov (see cov.go).
 type Result struct {
 	Mean      []float64
 	Std       []float64
@@ -137,13 +85,4 @@ func (r *Result) Posterior(id uarch.EventID) (mean, std float64) {
 // covariance-aware version.
 func (r *Result) DerivedPosterior(d *uarch.Derived) (mean, std float64) {
 	return d.PosteriorFrom(r.Mean, r.Std)
-}
-
-// Infer runs damped Gaussian message passing until the largest change in
-// any posterior mean (relative to the problem scale) drops below tol, or
-// maxIter sweeps elapse. It returns the posterior mean and std per event.
-// Unobserved events are inferred purely from the invariants (with a weak
-// zero-mean prior keeping their marginals proper).
-func (g *Graph) Infer(maxIter int, tol float64) Result {
-	return g.batch.Execute(1, maxIter, tol).Window(0)
 }

@@ -53,15 +53,15 @@ func TestInferRecoversTruth(t *testing.T) {
 	truth := skylakeTruth(c)
 	r := rng.New(11)
 
-	g := Build(c)
+	batch := Compile(c).NewBatch(1)
 	var rawErr stats.Running
 	for id, want := range truth {
 		std := 0.01 * want
 		obs := r.Gaussian(want, std)
-		g.Observe(uarch.EventID(id), obs, std)
+		batch.Observe(0, uarch.EventID(id), obs, std)
 		rawErr.Add(stats.RelErr(obs, want, 1))
 	}
-	res := g.Infer(200, 1e-9)
+	res := batch.Execute(1, 200, 1e-9).Window(0)
 	if !res.Converged {
 		t.Fatalf("inference did not converge in %d iters", res.Iters)
 	}
@@ -86,14 +86,14 @@ func TestInferFillsUnobserved(t *testing.T) {
 	truth := skylakeTruth(c)
 	missing := c.MustEvent("MEM_LOAD_RETIRED.L1_MISS")
 
-	g := Build(c)
+	batch := Compile(c).NewBatch(1)
 	for id, want := range truth {
 		if uarch.EventID(id) == missing {
 			continue
 		}
-		g.Observe(uarch.EventID(id), want, 0.005*want)
+		batch.Observe(0, uarch.EventID(id), want, 0.005*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := batch.Execute(1, 200, 1e-9).Window(0)
 	got, want := res.Mean[missing], truth[missing]
 	if e := stats.RelErr(got, want, 1); e > 0.05 {
 		t.Errorf("unobserved %s inferred as %.4g, want %.4g (rel err %.3f)",
@@ -109,7 +109,7 @@ func TestInferFillsUnobserved(t *testing.T) {
 // invariants.
 func TestInferTightensUncertainty(t *testing.T) {
 	c := uarch.Power9()
-	g := Build(c)
+	batch := Compile(c).NewBatch(1)
 	// A consistent Power9 vector.
 	v := make([]float64, c.NumEvents())
 	set := func(name string, x float64) { v[c.MustEvent(name)] = x }
@@ -133,9 +133,9 @@ func TestInferTightensUncertainty(t *testing.T) {
 	obsStd := make([]float64, c.NumEvents())
 	for id, want := range v {
 		obsStd[id] = 0.02 * want
-		g.Observe(uarch.EventID(id), want, obsStd[id])
+		batch.Observe(0, uarch.EventID(id), want, obsStd[id])
 	}
-	res := g.Infer(200, 1e-9)
+	res := batch.Execute(1, 200, 1e-9).Window(0)
 	ld := c.MustEvent("PM_LD_CMPL")
 	if res.Std[ld] >= obsStd[ld] {
 		t.Errorf("posterior std %.4g not tighter than observation std %.4g",
@@ -149,11 +149,11 @@ func TestInferTightensUncertainty(t *testing.T) {
 func TestClearObservationsReuse(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
-	reused := Build(c)
+	reused := Compile(c).NewBatch(1)
 
 	r := rng.New(21)
 	for round := 0; round < 3; round++ {
-		fresh := Build(c)
+		fresh := Compile(c).NewBatch(1)
 		reused.ClearObservations()
 		for id, want := range truth {
 			std := 0.02 * want
@@ -163,11 +163,11 @@ func TestClearObservationsReuse(t *testing.T) {
 			if id == round {
 				continue
 			}
-			fresh.Observe(uarch.EventID(id), obs, std)
-			reused.Observe(uarch.EventID(id), obs, std)
+			fresh.Observe(0, uarch.EventID(id), obs, std)
+			reused.Observe(0, uarch.EventID(id), obs, std)
 		}
-		fr := fresh.Infer(200, 1e-9)
-		rr := reused.Infer(200, 1e-9)
+		fr := fresh.Execute(1, 200, 1e-9).Window(0)
+		rr := reused.Execute(1, 200, 1e-9).Window(0)
 		for id := range truth {
 			if fr.Mean[id] != rr.Mean[id] || fr.Std[id] != rr.Std[id] {
 				t.Fatalf("round %d: reused graph diverged on event %d: mean %v vs %v, std %v vs %v",
@@ -188,11 +188,11 @@ func TestClearObservationsReuse(t *testing.T) {
 func TestDerivedPosteriorDeltaMethod(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
-	g := Build(c)
+	batch := Compile(c).NewBatch(1)
 	for id, want := range truth {
-		g.Observe(uarch.EventID(id), want, 0.01*want)
+		batch.Observe(0, uarch.EventID(id), want, 0.01*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := batch.Execute(1, 200, 1e-9).Window(0)
 
 	d := c.DerivedByName("IPC")
 	mean, std := res.DerivedPosterior(d)
@@ -233,14 +233,14 @@ func TestDerivedPosteriorUnobservedDenominator(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 	cycID := c.MustEvent("CPU_CLK_UNHALTED.THREAD")
-	g := Build(c)
+	batch := Compile(c).NewBatch(1)
 	for id, want := range truth {
 		if uarch.EventID(id) == cycID {
 			continue // cycles take part in no invariant: posterior stays at the prior
 		}
-		g.Observe(uarch.EventID(id), want, 0.01*want)
+		batch.Observe(0, uarch.EventID(id), want, 0.01*want)
 	}
-	res := g.Infer(200, 1e-9)
+	res := batch.Execute(1, 200, 1e-9).Window(0)
 	if res.Mean[cycID] != 0 {
 		t.Fatalf("unconstrained unobserved cycles inferred as %v, want prior 0", res.Mean[cycID])
 	}
@@ -253,14 +253,16 @@ func TestDerivedPosteriorUnobservedDenominator(t *testing.T) {
 	}
 }
 
-// benchObserveAll observes every event with noisy values.
-func benchObserveAll(g *Graph, truth []float64, r *rng.Rand) {
+// benchObserveAll observes every event of lane 0 with noisy values.
+func benchObserveAll(batch *Batch, truth []float64, r *rng.Rand) {
 	for id, want := range truth {
 		std := 0.05 * want
-		g.Observe(uarch.EventID(id), r.Gaussian(want, std), std)
+		batch.Observe(0, uarch.EventID(id), r.Gaussian(want, std), std)
 	}
 }
 
+// BenchmarkInfer measures one-window inference from scratch: compile, a
+// one-lane batch with covariance extraction, observe, execute.
 func BenchmarkInfer(b *testing.B) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
@@ -268,9 +270,10 @@ func BenchmarkInfer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := Build(c)
-		benchObserveAll(g, truth, r)
-		res := g.Infer(100, 1e-8)
+		batch := Compile(c).NewBatch(1)
+		batch.EnableCovariance()
+		benchObserveAll(batch, truth, r)
+		res := batch.Execute(1, 100, 1e-8).Window(0)
 		if math.IsNaN(res.Mean[0]) {
 			b.Fatal("NaN posterior")
 		}
@@ -279,21 +282,27 @@ func BenchmarkInfer(b *testing.B) {
 
 // BenchmarkInferBatch is the inference trajectory's headline number: ns per
 // window for batched message passing at B ∈ {1, 8, 64} on the Skylake
-// catalog, under both the exact kernel and the opt-in fast schedule. B=1
-// runs the legacy Build/Observe/Infer wrapper (the bit-identical baseline
-// every batch lane is measured against); the wider batches walk the
-// compiled schedule once per sweep for the whole batch, reusing one
-// result via ExecuteInto the way the stream workers do. The per-window
-// metric is emitted as ns/window so the trajectory stays comparable
-// across PRs, batch widths, and kernels; cmd/benchjson snapshots it into
-// BENCH_graph.json and CI gates regressions against that baseline.
+// catalog. The /exact variants force the exact kernel through the
+// fastVecEnabled hook; the /fast variants run the host's own selection
+// (the AVX2 vector kernel where the CPU has it, the exact kernel
+// elsewhere). B=1 runs a one-lane batch and copies its Result out per
+// window, as a single-window caller does; the wider batches walk the
+// compiled schedule once per sweep for the whole batch, reusing one result
+// via ExecuteInto the way the stream workers do. Every width extracts
+// clique covariances, so the ns/window ratio credits schedule
+// amortization, not skipped work. The per-window metric is emitted as
+// ns/window so the trajectory stays comparable across PRs, batch widths,
+// and kernels; cmd/benchjson snapshots it into BENCH_graph.json and CI
+// gates regressions against that baseline.
 func BenchmarkInferBatch(b *testing.B) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 	for _, width := range []int{1, 8, 64} {
 		for _, kernel := range []string{"exact", "fast"} {
-			fast := kernel == "fast"
 			b.Run(fmt.Sprintf("B=%d/%s", width, kernel), func(b *testing.B) {
+				if kernel == "exact" {
+					forceExact(b)
+				}
 				// Pre-draw one observation set per lane so every run and width
 				// measures identical inference problems.
 				r := rng.New(3)
@@ -307,41 +316,27 @@ func BenchmarkInferBatch(b *testing.B) {
 						obsMean[w][id] = r.Gaussian(want, obsStd[w][id])
 					}
 				}
+				batch := Compile(c).NewBatch(width)
+				batch.EnableCovariance()
 				b.ReportAllocs()
 				b.ResetTimer()
-				if width == 1 {
-					g := Build(c)
-					g.SetFastMath(fast)
-					for i := 0; i < b.N; i++ {
-						g.ClearObservations()
+				var res *BatchResult
+				for i := 0; i < b.N; i++ {
+					batch.ClearObservations()
+					for w := 0; w < width; w++ {
 						for id := range truth {
-							g.Observe(uarch.EventID(id), obsMean[0][id], obsStd[0][id])
-						}
-						res := g.Infer(100, 1e-8)
-						if math.IsNaN(res.Mean[0]) {
-							b.Fatal("NaN posterior")
+							batch.Observe(w, uarch.EventID(id), obsMean[w][id], obsStd[w][id])
 						}
 					}
-				} else {
-					batch := Compile(c).NewBatch(width)
-					batch.FastMath = fast
-					// Build() enables covariance extraction on the B=1 wrapper,
-					// so the wide batches must pay for it too — otherwise the
-					// ns/window ratio would credit skipped work, not schedule
-					// amortization.
-					batch.EnableCovariance()
-					var res *BatchResult
-					for i := 0; i < b.N; i++ {
-						batch.ClearObservations()
-						for w := 0; w < width; w++ {
-							for id := range truth {
-								batch.Observe(w, uarch.EventID(id), obsMean[w][id], obsStd[w][id])
-							}
-						}
-						res = batch.ExecuteInto(res, width, 100, 1e-8)
-						if math.IsNaN(res.Mean[0]) {
+					if width == 1 {
+						if win := batch.Execute(1, 100, 1e-8).Window(0); math.IsNaN(win.Mean[0]) {
 							b.Fatal("NaN posterior")
 						}
+						continue
+					}
+					res = batch.ExecuteInto(res, width, 100, 1e-8)
+					if math.IsNaN(res.Mean[0]) {
+						b.Fatal("NaN posterior")
 					}
 				}
 				b.StopTimer()
@@ -351,20 +346,21 @@ func BenchmarkInferBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkInferReuse measures the window-to-window hot path of the stream
-// workers: ClearObservations + re-Observe + Infer on a long-lived graph,
-// against BenchmarkInfer's build-per-window baseline.
+// BenchmarkInferReuse measures the window-to-window hot path of a
+// long-lived one-lane batch: ClearObservations + re-Observe + Execute,
+// against BenchmarkInfer's compile-per-window baseline.
 func BenchmarkInferReuse(b *testing.B) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 	r := rng.New(3)
-	g := Build(c)
+	batch := Compile(c).NewBatch(1)
+	batch.EnableCovariance()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ClearObservations()
-		benchObserveAll(g, truth, r)
-		res := g.Infer(100, 1e-8)
+		batch.ClearObservations()
+		benchObserveAll(batch, truth, r)
+		res := batch.Execute(1, 100, 1e-8).Window(0)
 		if math.IsNaN(res.Mean[0]) {
 			b.Fatal("NaN posterior")
 		}

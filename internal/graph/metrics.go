@@ -48,16 +48,17 @@ func ExponentialSweepBuckets() []float64 {
 	return obs.ExponentialBuckets(1, 2, 10)
 }
 
-// recordExecute folds one Execute call's outcome into the instruments. It
-// runs after the sweep loop, reading converged state only — never inside
-// the kernels — so instrumentation cannot perturb the exact kernel's
-// bit-exactness or the fast kernel's accuracy gate, and costs nothing on
-// the per-sweep hot path. The cavity-floor scan mirrors the moments()
-// guard: a final belief-minus-message precision below minPrec means that
-// edge's cavity was flat and its contribution order-sensitive.
-func (m *Metrics) recordExecute(b *Batch, n int) {
+// recordExecute folds one Execute call's outcome into the instruments; vec
+// says which kernel ran. It runs after the sweep loop, reading converged
+// state only — never inside the kernels — so instrumentation cannot perturb
+// the exact kernel's bit-exactness or the vector kernel's accuracy gate,
+// and costs nothing on the per-sweep hot path. The cavity-floor scan
+// mirrors the moments() guard: a final belief-minus-message precision
+// below minPrec means that edge's cavity was flat and its contribution
+// order-sensitive.
+func (m *Metrics) recordExecute(b *Batch, n int, vec bool) {
 	m.windows.Add(uint64(n))
-	if b.FastMath {
+	if vec {
 		m.kernelFast.Add(uint64(n))
 	} else {
 		m.kernelExact.Add(uint64(n))

@@ -15,18 +15,20 @@ func TestGraphMetricsRecording(t *testing.T) {
 	c := uarch.Skylake()
 	truth := skylakeTruth(c)
 
-	infer := func(m *Metrics, fast bool) Result {
-		g := Build(c)
-		g.SetFastMath(fast)
-		g.SetMetrics(m)
-		benchObserveAll(g, truth, rng.New(3))
-		return g.Infer(200, 1e-9)
+	infer := func(m *Metrics) Result {
+		batch := Compile(c).NewBatch(1)
+		batch.SetMetrics(m)
+		benchObserveAll(batch, truth, rng.New(3))
+		return batch.Execute(1, 200, 1e-9).Window(0)
 	}
 
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	res := infer(m, false)
-	plain := infer(nil, false)
+	vec := fastVecEnabled
+	fastVecEnabled = false
+	res := infer(m)
+	plain := infer(nil)
+	fastVecEnabled = vec
 
 	for id := range res.Mean {
 		if res.Mean[id] != plain.Mean[id] || res.Std[id] != plain.Std[id] {
@@ -63,11 +65,19 @@ func TestGraphMetricsRecording(t *testing.T) {
 		t.Errorf("sweeps histogram = %+v, want count 1 sum %d", hist, res.Iters)
 	}
 
-	// The fast kernel records under its own label.
-	infer(m, true)
+	// The host's own selection records under the kernel that ran: the
+	// vector kernel ("fast") where the CPU has it.
+	infer(m)
 	snap = reg.Snapshot()
-	if got := counter("bayesperf_graph_kernel_windows_total", obs.Label{Key: "kernel", Value: "fast"}); got != 1 {
-		t.Errorf("fast kernel counter = %v, want 1", got)
+	wantFast, wantExact := 0.0, 2.0
+	if vec {
+		wantFast, wantExact = 1, 1
+	}
+	if got := counter("bayesperf_graph_kernel_windows_total", obs.Label{Key: "kernel", Value: "fast"}); got != wantFast {
+		t.Errorf("fast kernel counter = %v, want %v (vector kernel available: %v)", got, wantFast, vec)
+	}
+	if got := counter("bayesperf_graph_kernel_windows_total", obs.Label{Key: "kernel", Value: "exact"}); got != wantExact {
+		t.Errorf("exact kernel counter = %v, want %v (vector kernel available: %v)", got, wantExact, vec)
 	}
 }
 
@@ -78,10 +88,10 @@ func TestGraphMetricsNilSafe(t *testing.T) {
 		t.Fatalf("NewMetrics(nil) = %v, want nil", m)
 	}
 	c := uarch.Skylake()
-	g := Build(c)
-	g.SetMetrics(nil)
-	benchObserveAll(g, skylakeTruth(c), rng.New(3))
-	if res := g.Infer(50, 1e-9); len(res.Mean) == 0 {
+	batch := Compile(c).NewBatch(1)
+	batch.SetMetrics(nil)
+	benchObserveAll(batch, skylakeTruth(c), rng.New(3))
+	if res := batch.Execute(1, 50, 1e-9).Window(0); len(res.Mean) == 0 {
 		t.Fatal("inference with nil metrics returned no posterior")
 	}
 }

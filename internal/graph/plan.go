@@ -6,12 +6,11 @@
 // is amortized across the whole batch, and every inner loop strides over
 // adjacent memory.
 //
-// Each batch lane is an independent inference problem: the per-lane
-// arithmetic reproduces the classic per-window loop operation for
-// operation, so a lane's posterior is bit-identical whether it runs alone
-// (the legacy Build/Observe/Infer wrapper) or packed into a 64-wide batch.
-// That invariance is what lets the streaming engine batch windows freely
-// without perturbing a single stitched output bit.
+// Each batch lane is an independent inference problem: a lane's posterior
+// is bit-identical whether it runs alone in a one-lane batch or packed
+// into a 64-wide one, under either kernel. That invariance is what lets
+// the streaming engine batch windows freely without perturbing a single
+// stitched output bit.
 package graph
 
 import (
@@ -29,6 +28,7 @@ type Plan struct {
 	nv     int // variables (events)
 	nRels  int // relation factors
 	nEdges int
+	maxK   int // widest relation clique (term count)
 
 	// Factor structure in CSR form: relation ri's edges (terms) occupy
 	// [factorOff[ri], factorOff[ri+1]) of the edge arrays. The message
@@ -81,6 +81,7 @@ func Compile(cat *uarch.Catalog) *Plan {
 		}
 		k := len(r.Terms)
 		p.nEdges += k
+		p.maxK = max(p.maxK, k)
 		p.nCov += k * k
 		for a := 0; a < k; a++ {
 			for b := a + 1; b < k; b++ {
@@ -107,17 +108,6 @@ func Compile(cat *uarch.Catalog) *Plan {
 // Catalog returns the catalog the plan was compiled from.
 func (p *Plan) Catalog() *uarch.Catalog { return p.cat }
 
-// maxCliqueSize returns the largest relation's term count.
-func (p *Plan) maxCliqueSize() int {
-	maxK := 0
-	for ri := 0; ri < p.nRels; ri++ {
-		if k := p.factorOff[ri+1] - p.factorOff[ri]; k > maxK {
-			maxK = k
-		}
-	}
-	return maxK
-}
-
 // SharesClique reports whether two events appear together in at least one
 // relation factor, i.e. whether Execute extracts a posterior covariance for
 // the pair.
@@ -133,24 +123,16 @@ func (p *Plan) SharesClique(i, j uarch.EventID) bool {
 // independent inference windows over one Plan, in structure-of-arrays
 // layout: quantity q of lane b lives at q*stride+b, so the per-schedule-step
 // inner loops run over contiguous float64 runs. The row stride is the lane
-// count rounded up to a multiple of four, so the vectorized fast kernel can
-// always process whole 4-lane groups without crossing into the next row;
-// the padding lanes hold zeroes and are never read back. A Batch is
-// reusable (ClearObservations between rounds) and, like the legacy Graph,
-// not safe for concurrent use.
+// count rounded up to a multiple of four, so the vector kernel can always
+// process whole 4-lane groups without crossing into the next row; the
+// padding lanes hold zeroes and are never read back. A Batch is reusable
+// (ClearObservations between rounds) and not safe for concurrent use:
+// parallel engines each own one (see internal/stream's worker pool).
 type Batch struct {
 	plan  *Plan
 	lanes int
 	// stride is the slab row stride: lanes rounded up to a multiple of 4.
 	stride int
-	// FastMath opts Execute into the fused-cavity fast schedule (fast.go):
-	// O(k) per-relation gathers instead of the exact kernel's O(k²) sibling
-	// loops, inverse variances computed once per edge, and a multiply-add
-	// update loop. The fast kernel's posteriors agree with the exact
-	// kernel's only to a tight relative tolerance (not bit for bit), pinned
-	// by TestFastMathAccuracyDelta; leave it off wherever bit-exactness
-	// against the legacy oracle matters.
-	FastMath bool
 	// needCov gates clique-covariance extraction (EnableCovariance):
 	// consumers that never read Cov/Corr — the default stream
 	// configuration — skip the extraction flops and the per-result
@@ -158,20 +140,14 @@ type Batch struct {
 	needCov bool
 	// Extraction scratch (extractCovariances), sized on first use.
 	covD, covCD []float64
-	// Fast-schedule scratch (sweepFast), sized on first use: per-relation
-	// edge descriptors, weighted cavity contributions, and suffix sums
-	// (maxCliqueSize each, reused across lanes and sweeps) plus the previous
-	// sweep's belief naturals backing the divide-free convergence test
-	// (nv·stride).
-	fastWM, fastWV, fastSM, fastSV, fastC []float64
-	fastRow, fastMsg                      []int
-	prevP, prevH                          []float64
-	// Vector-kernel state (amd64 AVX2 path, fast_amd64.s): per-lane
-	// active-lane masks as float64 bit patterns (all-ones = active, zero =
-	// frozen or padding) and per-edge byte offsets of each edge's variable
-	// row in the belief slabs.
-	activeMask []float64
-	rowOff     []int64
+	// Vector-kernel state (amd64 AVX2 path, fast_amd64.s), sized on first
+	// use: per-lane active-lane masks as float64 bit patterns (all-ones =
+	// active, zero = frozen or padding), per-edge byte offsets of each
+	// edge's variable row in the belief slabs, and the previous sweep's
+	// belief naturals backing the divide-free convergence test (nv·stride).
+	activeMask   []float64
+	rowOff       []int64
+	prevP, prevH []float64
 	// m, when non-nil, records per-Execute outcomes (windows, sweeps,
 	// convergence, kernel choice, cavity-floor hits) after each sweep loop
 	// finishes — see SetMetrics.
@@ -240,8 +216,7 @@ func (b *Batch) Lanes() int { return b.lanes }
 // clique posterior covariances (Result.Cov/Corr/DerivedPosteriorCov).
 // Off by default for plain batches: extraction costs O(Σk² · lanes) per
 // Execute plus a covariance slab per result, which pure marginal consumers
-// should not pay. The one-lane Graph wrapper enables it, preserving the
-// single-window Result contract.
+// should not pay.
 func (b *Batch) EnableCovariance() { b.needCov = true }
 
 // Plan returns the compiled plan the batch executes.
@@ -254,7 +229,10 @@ func (b *Batch) Plan() *Plan { return b.plan }
 func (b *Batch) SetMetrics(m *Metrics) { b.m = m }
 
 // Observe attaches (or replaces) the measurement factor for an event in one
-// lane's window; the semantics and validity checks match Graph.Observe.
+// lane's window: the event's value is measured as N(mean, std²). For
+// multiplexed counters the std comes from the Student-t marginal of the
+// per-interval samples (measure.Multiplex). mean must be finite and std
+// positive.
 func (b *Batch) Observe(lane int, id uarch.EventID, mean, std float64) {
 	if lane < 0 || lane >= b.lanes {
 		panic(fmt.Sprintf("graph: Observe on lane %d of a %d-lane batch", lane, b.lanes))
@@ -262,7 +240,7 @@ func (b *Batch) Observe(lane int, id uarch.EventID, mean, std float64) {
 	if id < 0 || int(id) >= b.plan.nv {
 		panic(fmt.Sprintf("graph: Observe of unknown event %d", id))
 	}
-	if std <= 0 || math.IsNaN(std) || math.IsNaN(mean) {
+	if std <= 0 || math.IsNaN(std) || math.IsNaN(mean) || math.IsInf(mean, 0) {
 		panic(fmt.Sprintf("graph: Observe(%s) with invalid mean=%v std=%v",
 			b.plan.cat.Event(id).Name, mean, std))
 	}
@@ -321,10 +299,17 @@ func (r *BatchResult) Window(lane int) Result {
 }
 
 // Execute runs damped Gaussian message passing on the first n lanes of the
-// batch, walking the compiled schedule once per sweep for all lanes. Each
-// lane converges (and freezes) independently against the same per-window
-// criterion as Graph.Infer, so lane posteriors do not depend on n or on
-// which other windows share the batch.
+// batch, walking the compiled schedule once per sweep for all lanes, until
+// the largest change in any posterior mean (relative to the problem scale)
+// drops below tol or maxIter sweeps elapse. Each lane converges (and
+// freezes) independently, so lane posteriors do not depend on n or on
+// which other windows share the batch. Unobserved events are inferred
+// purely from the invariants (with a weak zero-mean prior keeping their
+// marginals proper).
+//
+// The kernel is chosen here, from the platform and the plan: the AVX2
+// vector kernel (fast.go) when the host supports it and every relation
+// clique fits its scratch, the exact kernel otherwise.
 //
 //bayesperf:hotpath
 func (b *Batch) Execute(n, maxIter int, tol float64) *BatchResult {
@@ -429,21 +414,22 @@ func (b *Batch) ExecuteInto(res *BatchResult, n, maxIter int, tol float64) *Batc
 		b.iters[lane] = maxIter
 	}
 
-	if b.FastMath {
-		b.sweepFast(n, maxIter, tol)
+	vec := fastVecEnabled && p.maxK <= vecMaxK
+	if vec {
+		b.sweepFastVec(n, maxIter, tol)
 	} else {
 		b.sweepExact(n, maxIter, tol)
 	}
 	if b.m != nil {
-		b.m.recordExecute(b, n)
+		b.m.recordExecute(b, n, vec)
 	}
 
 	return b.resultInto(res, n)
 }
 
-// sweepExact runs the exact message schedule: the legacy per-window loop,
+// sweepExact runs the exact message schedule: the original per-window loop,
 // operation for operation, vectorized only across lanes. It is the golden
-// oracle the fast schedule is measured against and stays bit-identical to
+// oracle the vector kernel is measured against and stays bit-identical to
 // the frozen reference implementation (reference_test.go).
 //
 //bayesperf:hotpath

@@ -12,7 +12,7 @@ import (
 // This file freezes the pre-compilation message-passing implementation
 // (the per-window, slice-of-slices loop that shipped before the
 // compile/execute refactor) verbatim, as the bit-exactness oracle: the
-// legacy Build/Observe/Infer wrapper — and therefore every lane of a
+// exact kernel on a one-lane batch — and therefore every lane of a
 // compiled batch — must reproduce its posteriors bit for bit on every
 // catalog, observed subset, and inference budget.
 
@@ -179,21 +179,22 @@ func observeRound(cat *uarch.Catalog, r *rng.Rand, observe func(id uarch.EventID
 }
 
 // TestInferBitIdenticalToReference is the acceptance criterion of the
-// compile/execute refactor: the B=1 plan wrapper reproduces the legacy
-// implementation's posteriors bit for bit — Mean, Std, Iters and Converged
-// — on both builder catalogs and both shipped JSON catalogs, across
-// observed subsets and inference budgets (including budgets too small to
-// converge).
+// compile/execute refactor: the exact kernel on a one-lane batch
+// reproduces the legacy implementation's posteriors bit for bit — Mean,
+// Std, Iters and Converged — on both builder catalogs and both shipped
+// JSON catalogs, across observed subsets and inference budgets (including
+// budgets too small to converge).
 func TestInferBitIdenticalToReference(t *testing.T) {
+	forceExact(t)
 	for _, cat := range identityCatalogs(t) {
-		g := Build(cat)
+		batch := Compile(cat).NewBatch(1)
 		for round := 0; round < 4; round++ {
 			r := rng.New(uint64(100*round) + 7)
 			ref := refBuild(cat)
-			g.ClearObservations()
+			batch.ClearObservations()
 			observeRound(cat, r, func(id uarch.EventID, mean, std float64) {
 				ref.observe(id, mean, std)
-				g.Observe(id, mean, std)
+				batch.Observe(0, id, mean, std)
 			})
 			maxIter, tol := 200, 1e-9
 			if round == 2 {
@@ -203,7 +204,7 @@ func TestInferBitIdenticalToReference(t *testing.T) {
 				tol = 1e-4
 			}
 			want := ref.refInfer(maxIter, tol)
-			got := g.Infer(maxIter, tol)
+			got := batch.Execute(1, maxIter, tol).Window(0)
 			if got.Iters != want.Iters || got.Converged != want.Converged {
 				t.Fatalf("%s round %d: iteration trace (%d, %v) vs reference (%d, %v)",
 					cat.Arch, round, got.Iters, got.Converged, want.Iters, want.Converged)
@@ -219,10 +220,12 @@ func TestInferBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestExecuteLaneInvariance is the batching contract: a window's posterior
-// is bit-identical whether it runs through the one-lane wrapper or packed
-// into any lane of any wider batch, including partially filled ones.
+// TestExecuteLaneInvariance is the exact kernel's batching contract: a
+// window's posterior is bit-identical whether it runs alone in a one-lane
+// batch or packed into any lane of any wider batch, including partially
+// filled ones.
 func TestExecuteLaneInvariance(t *testing.T) {
+	forceExact(t)
 	for _, cat := range identityCatalogs(t) {
 		plan := Compile(cat)
 		const windows = 13
@@ -232,17 +235,18 @@ func TestExecuteLaneInvariance(t *testing.T) {
 		}
 		jobs := make([][]obs, windows)
 		solo := make([]Result, windows)
-		g := Build(cat)
+		one := plan.NewBatch(1)
+		one.EnableCovariance()
 		for w := 0; w < windows; w++ {
 			r := rng.New(uint64(w)*31 + 5)
 			observeRound(cat, r, func(id uarch.EventID, mean, std float64) {
 				jobs[w] = append(jobs[w], obs{id, mean, std})
 			})
-			g.ClearObservations()
+			one.ClearObservations()
 			for _, o := range jobs[w] {
-				g.Observe(o.id, o.mean, o.std)
+				one.Observe(0, o.id, o.mean, o.std)
 			}
-			solo[w] = g.Infer(200, 1e-9)
+			solo[w] = one.Execute(1, 200, 1e-9).Window(0)
 		}
 		for _, lanes := range []int{2, 5, 64} {
 			batch := plan.NewBatch(lanes)

@@ -7,7 +7,7 @@ import (
 
 // KernelPurity encodes the compiled-inference contract: the kernels
 // (the driver scopes this rule to internal/graph — Plan/Batch execution,
-// the fast schedule, covariance extraction) are pure functions of their
+// the vector kernel, covariance extraction) are pure functions of their
 // inputs. A posterior may depend only on the observations and the plan,
 // never on the wall clock, a random source, mutable package state, or map
 // iteration order; that is what makes lane posteriors bit-identical across

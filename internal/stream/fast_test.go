@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"bayesperf/internal/measure"
 	"bayesperf/internal/rng"
@@ -11,8 +12,25 @@ import (
 	"bayesperf/internal/uarch"
 )
 
-// fastStreamTol bounds the stitched fast-vs-exact drift of the posterior
-// mean and std series. It inherits the graph-level accuracy gate
+// vecKernelEnabled is internal/graph's kernel-selection hook
+// (fastVecEnabled), reached without exporting it so the stream-level
+// kernel checks can pin the exact kernel as their reference. Clearing it
+// makes every Batch run the exact kernel; its startup value is the host's
+// own choice (the vector kernel on AVX2 hosts).
+//
+//go:linkname vecKernelEnabled bayesperf/internal/graph.fastVecEnabled
+var vecKernelEnabled bool
+
+// forceExactKernel clears the vector-kernel hook for the rest of the test.
+func forceExactKernel(t *testing.T) {
+	t.Helper()
+	saved := vecKernelEnabled
+	vecKernelEnabled = false
+	t.Cleanup(func() { vecKernelEnabled = saved })
+}
+
+// fastStreamTol bounds the stitched host-kernel-vs-exact drift of the
+// posterior mean and std series. It inherits the graph-level accuracy gate
 // (fastAccuracyTol in internal/graph) with one decade of headroom for the
 // stitcher's hop-overlap averaging accumulating per-window deltas.
 const fastStreamTol = 1e-6
@@ -26,21 +44,26 @@ const fastStreamTol = 1e-6
 // perceive, not bit-level agreement.
 const fastDerivedStdTol = 1e-3
 
-// TestStreamFastMathAccuracy: a -fast streaming run must stitch the same
-// story as the exact kernel on the same trace — every corrected event
-// series (means and stds) within fastStreamTol relative, every derived
-// posterior series within its gate — with covariance-aware derived stds on.
+// TestStreamFastMathAccuracy: a streaming run on the host's kernel must
+// stitch the same story as the exact kernel on the same trace — every
+// corrected event series (means and stds) within fastStreamTol relative,
+// every derived posterior series within its gate — with covariance-aware
+// derived stds on. On hosts without the vector kernel both runs are exact
+// and agree bit for bit.
 func TestStreamFastMathAccuracy(t *testing.T) {
+	hostVec := vecKernelEnabled
 	for _, arch := range []*uarch.Catalog{uarch.Skylake(), uarch.Power9()} {
 		tr := measure.GroundTruth(arch, measure.DefaultWorkload(60), rng.New(5))
-		runWith := func(fast bool) *Result {
+		runWith := func(vec bool) *Result {
+			saved := vecKernelEnabled
+			vecKernelEnabled = vec
+			defer func() { vecKernelEnabled = saved }()
 			cfg := testConfig(2)
 			cfg.Covariance = true
-			cfg.FastMath = fast
 			return RunTrace(tr, measure.NewRoundRobin(arch), cfg, rng.New(6))
 		}
 		exact := runWith(false)
-		fast := runWith(true)
+		fast := runWith(hostVec)
 		if fast.Windows != exact.Windows || fast.Intervals != exact.Intervals {
 			t.Fatalf("%s: fast shape %d/%d vs exact %d/%d", arch.Arch,
 				fast.Windows, fast.Intervals, exact.Windows, exact.Intervals)
@@ -64,10 +87,11 @@ func TestStreamFastMathAccuracy(t *testing.T) {
 	}
 }
 
-// TestStreamFastMathDeterministic pins the fast schedule's streaming
-// contract: like the exact kernel, its stitched output is bit-identical
-// for any worker count × batch width (the fast kernel is lane-invariant,
-// so no grouping of windows into Execute calls may leak into the result).
+// TestStreamFastMathDeterministic pins the host kernel's streaming
+// contract: like the exact kernel (TestStreamDeterministicAcrossBatchSizes),
+// its stitched output is bit-identical for any worker count × batch width
+// (the vector kernel is lane-invariant, so no grouping of windows into
+// Execute calls may leak into the result).
 func TestStreamFastMathDeterministic(t *testing.T) {
 	cat := uarch.Skylake()
 	tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), rng.New(5))
@@ -78,7 +102,6 @@ func TestStreamFastMathDeterministic(t *testing.T) {
 			cfg := testConfig(workers)
 			cfg.Batch = batch
 			cfg.Covariance = true
-			cfg.FastMath = true
 			label := "batch=" + strconv.Itoa(batch) + " workers=" + strconv.Itoa(workers)
 			res := RunTrace(tr, measure.NewRoundRobin(cat), cfg, rng.New(6))
 			if base == nil {

@@ -6,7 +6,7 @@
 // The engine slides a Window accumulator over the stream; every hop it
 // snapshots the window's observations (scaled totals plus incrementally
 // re-derived Student-t stds) and fans the snapshot out to a pool of
-// workers, each owning one reusable graph.Graph EP engine. Posteriors come
+// workers, each owning one reusable graph.Batch EP engine. Posteriors come
 // back asynchronously, are re-ordered, and overlapping windows are stitched
 // into one corrected trace by precision weighting. The posterior
 // uncertainty also closes the measurement loop: a
@@ -50,13 +50,7 @@ type Config struct {
 	// window's per-relation posterior correlations are stitched alongside
 	// the marginals and enter the delta method's cross terms.
 	Covariance bool
-	// FastMath switches every worker's batch to the fused fast-math message
-	// schedule (graph.Batch.FastMath): posteriors agree with the exact
-	// kernel to a tight relative tolerance instead of bit for bit, and the
-	// output remains deterministic across worker counts and batch sizes.
-	// Composes with Covariance.
-	FastMath bool
-	// MaxIter and Tol are passed to graph.Infer per window.
+	// MaxIter and Tol are the per-window inference budget (graph.Batch.Execute).
 	MaxIter int
 	Tol     float64
 	// Mux carries the observation model shared with the measurement layer:
@@ -385,7 +379,6 @@ func (e *Engine) buildCovPairs() {
 func (e *Engine) worker(wi int) {
 	defer e.wg.Done()
 	batch := e.plan.NewBatch(e.cfg.Batch)
-	batch.FastMath = e.cfg.FastMath
 	batch.SetMetrics(e.gm)
 	if len(e.covPairs) > 0 {
 		batch.EnableCovariance()

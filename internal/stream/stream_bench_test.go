@@ -43,18 +43,17 @@ func BenchmarkStreamWindow(b *testing.B) {
 
 // BenchmarkStreamBatched tracks what window batching buys the streaming
 // engine end to end: the same trace and worker pool at batch widths 1, 8
-// and 32 under both inference kernels, with per-window cost emitted as
+// and 32 under the host's inference kernel, with per-window cost emitted as
 // ns/window so the trajectory is comparable across PRs and against
 // BenchmarkInferBatch's inference-only number. cmd/benchjson snapshots it
 // into BENCH_stream.json and CI gates regressions against that baseline.
 func BenchmarkStreamBatched(b *testing.B) {
 	tr := benchTrace()
-	run := func(batch int, kernel string, reg *obs.Registry) func(*testing.B) {
+	run := func(batch int, reg *obs.Registry) func(*testing.B) {
 		return func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Workers = 2
 			cfg.Batch = batch
-			cfg.FastMath = kernel == "fast"
 			cfg.Metrics = reg
 			windows := 0
 			b.ReportAllocs()
@@ -71,18 +70,14 @@ func BenchmarkStreamBatched(b *testing.B) {
 		}
 	}
 	for _, batch := range []int{1, 8, 32} {
-		for _, kernel := range []string{"exact", "fast"} {
-			b.Run(fmt.Sprintf("batch=%d/%s", batch, kernel), run(batch, kernel, nil))
-		}
+		b.Run(fmt.Sprintf("batch=%d", batch), run(batch, nil))
 	}
-	// The /obs variants run the identical workload with a live metrics
-	// registry attached; cmd/benchjson's -obs-max-ratio gate pairs each one
-	// against its metrics-off twin from the same run to bound the
+	// The /obs variant runs the identical workload with a live metrics
+	// registry attached; cmd/benchjson's -obs-max-ratio gate pairs it
+	// against its metrics-off twin batch=8 from the same run to bound the
 	// instrumentation overhead (the registry is created outside the timed
 	// region, as a real deployment would).
-	for _, kernel := range []string{"exact", "fast"} {
-		b.Run(fmt.Sprintf("batch=%d/%s/obs", 8, kernel), run(8, kernel, obs.NewRegistry()))
-	}
+	b.Run("batch=8/obs", run(8, obs.NewRegistry()))
 }
 
 // TestStreamParallelSpeedup pins the worker pool's reason to exist (and

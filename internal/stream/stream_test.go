@@ -199,7 +199,7 @@ func TestPosteriorBeatsObservationsPerWindow(t *testing.T) {
 		cfg := testConfig(0)
 		smp := measure.NewSampler(tr, cfg.Mux, measure.NewRoundRobin(cat), r.Split())
 		win := NewWindow(cat, cfg.Window)
-		g := graph.Build(cat)
+		batch := graph.Compile(cat).NewBatch(1)
 		var obsErr, postErr stats.Running
 		for {
 			s, ok := smp.Next()
@@ -211,13 +211,13 @@ func TestPosteriorBeatsObservationsPerWindow(t *testing.T) {
 				continue
 			}
 			job := win.snapshot(0, cfg.Mux)
-			g.ClearObservations()
+			batch.ClearObservations()
 			for id, observed := range job.observed {
 				if observed {
-					g.Observe(uarch.EventID(id), job.obsMean[id], job.obsStd[id])
+					batch.Observe(0, uarch.EventID(id), job.obsMean[id], job.obsStd[id])
 				}
 			}
-			res := g.Infer(cfg.MaxIter, cfg.Tol)
+			res := batch.Execute(1, cfg.MaxIter, cfg.Tol).Window(0)
 			for id := range job.observed {
 				var truthTot float64
 				for tt := job.start; tt < job.end; tt++ {
@@ -282,10 +282,13 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 // TestStreamDeterministicAcrossBatchSizes is the batching regression test:
 // the stitched output — every event series, the pooled uncertainty metric,
 // and the derived posterior series (covariance-aware included) — must be
-// bit-identical for any batch width × worker count. Batch lanes run
-// independent arithmetic and stitching is forced into window-index order,
-// so no grouping of windows into Execute calls may leak into the result.
+// bit-identical for any batch width × worker count, under the exact
+// kernel (TestStreamFastMathDeterministic holds the host's kernel to the
+// same contract). Batch lanes run independent arithmetic and stitching is
+// forced into window-index order, so no grouping of windows into Execute
+// calls may leak into the result.
 func TestStreamDeterministicAcrossBatchSizes(t *testing.T) {
+	forceExactKernel(t)
 	cat := uarch.Skylake()
 	tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), rng.New(5))
 	for _, covariance := range []bool{false, true} {

@@ -224,6 +224,11 @@ func (w *Window) snapshot(index int, mux measure.MuxConfig) windowJob {
 		}
 		mean := sum / float64(n)
 		total := mean * float64(intervals)
+		if !finite(total) {
+			// Finite readings whose total overflowed carry no usable
+			// value either: leave the event to the invariants.
+			continue
+		}
 
 		var std, disp float64
 		if n >= 2 {

@@ -108,7 +108,7 @@ func TestSpecRoundTripGroundTruth(t *testing.T) {
 }
 
 // TestSpecRoundTripPosteriorsBitIdentical is the acceptance criterion: the
-// builder-based and spec-loaded catalogs produce bit-identical graph.Infer
+// builder-based and spec-loaded catalogs produce bit-identical graph
 // posteriors for the same observations, and bit-identical derived
 // posteriors through the reconstructed formulas.
 func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
@@ -119,13 +119,14 @@ func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
 		mux := measure.Multiplex(tr, measure.DefaultMuxConfig(), r.Split())
 
 		infer := func(c *uarch.Catalog) graph.Result {
-			g := graph.Build(c)
+			batch := graph.Compile(c).NewBatch(1)
+			batch.EnableCovariance()
 			for id, est := range mux.Est {
 				if est.N > 0 {
-					g.Observe(uarch.EventID(id), est.Total, est.Std)
+					batch.Observe(0, uarch.EventID(id), est.Total, est.Std)
 				}
 			}
-			return g.Infer(500, 1e-9)
+			return batch.Execute(1, 500, 1e-9).Window(0)
 		}
 		postA, postB := infer(cat), infer(rebuilt)
 		if postA.Iters != postB.Iters || postA.Converged != postB.Converged {

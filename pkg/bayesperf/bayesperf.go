@@ -236,20 +236,6 @@ func WithCovariance(on bool) Option {
 	}
 }
 
-// WithFastMath switches inference (batch and stream) to the fused fast-math
-// message schedule: per-relation cavity gathers collapse from O(k²) to O(k)
-// and, on CPUs with AVX2+FMA, the sweep runs four windows per instruction.
-// Posteriors agree with the exact kernel to a tight relative tolerance
-// instead of bit for bit (the accuracy-delta tests pin the drift); results
-// remain deterministic across worker counts and batch widths. Composes with
-// WithCovariance.
-func WithFastMath(on bool) Option {
-	return func(s *Session) error {
-		s.cfg.FastMath = on
-		return nil
-	}
-}
-
 // WithInference sets the per-inference budget: maximum message-passing
 // sweeps and the convergence tolerance on posterior means (zero keeps the
 // respective default).
@@ -487,15 +473,17 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 	if rejected > 0 {
 		mm.GumbelRejected.Add(rejected)
 	}
-	g := graph.Build(cat)
-	g.SetFastMath(cfg.FastMath)
-	g.SetMetrics(graph.NewMetrics(s.obs))
+	batch := graph.Compile(cat).NewBatch(1)
+	batch.EnableCovariance()
+	batch.SetMetrics(graph.NewMetrics(s.obs))
 	for id := range est {
-		if est[id].N > 0 {
-			g.Observe(EventID(id), est[id].Total, est[id].Std)
+		// A total that overflowed to ±Inf carries no usable value: the
+		// invariants infer the event, as if it had no readings.
+		if est[id].N > 0 && finite(est[id].Total) {
+			batch.Observe(0, EventID(id), est[id].Total, est[id].Std)
 		}
 	}
-	post := g.Infer(cfg.MaxIter, cfg.Tol)
+	post := batch.Execute(1, cfg.MaxIter, cfg.Tol).Window(0)
 	sm.seconds.Observe(time.Since(start).Seconds())
 	return s.batchReport(cat, src, est, &post, intervals), nil
 }

@@ -1,6 +1,7 @@
 package bayesperf_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -485,5 +486,68 @@ func TestSessionEmptySource(t *testing.T) {
 	sess2, _ := bayesperf.New(bayesperf.WithCatalog(cat))
 	if _, err := sess2.RunStream(bayesperf.NewSimSource(cat, wl, mux, 1)); err == nil {
 		t.Error("RunStream on an empty source succeeded")
+	}
+}
+
+// overflowSource reads every event of its catalog at 1e6 per interval,
+// except one event whose finite readings are so large that any window or
+// run total of them overflows to +Inf.
+type overflowSource struct {
+	cat  *bayesperf.Catalog
+	huge uarch.EventID
+	n, i int
+}
+
+func (s *overflowSource) Catalog() *bayesperf.Catalog { return s.cat }
+
+func (s *overflowSource) Next() (bayesperf.Interval, bool) {
+	if s.i == s.n {
+		return bayesperf.Interval{}, false
+	}
+	iv := bayesperf.Interval{T: s.i}
+	for id := 0; id < s.cat.NumEvents(); id++ {
+		v := 1e6
+		if uarch.EventID(id) == s.huge {
+			v = math.MaxFloat64
+		}
+		iv.Events = append(iv.Events, uarch.EventID(id))
+		iv.Values = append(iv.Values, v)
+	}
+	s.i++
+	return iv, true
+}
+
+// TestSessionOverflowingTotals: finite readings whose total overflows to
+// ±Inf are an input a Source can deliver, so they must neither panic the
+// engine nor poison the other events' posteriors. The overflowing event
+// is left for the invariants to infer, like an event with no readings.
+func TestSessionOverflowingTotals(t *testing.T) {
+	cat := uarch.Skylake()
+	src := func() *overflowSource {
+		return &overflowSource{cat: cat, huge: cat.MustEvent("INST_RETIRED.ANY"), n: 48}
+	}
+	sess, err := bayesperf.New(bayesperf.WithCatalog(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.RunBatch(src())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rep.Events {
+		if math.IsNaN(e.Mean) || math.IsInf(e.Mean, 0) {
+			t.Errorf("batch: %s posterior mean %v", e.Name, e.Mean)
+		}
+	}
+	rep, err = sess.RunStream(src())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, series := range rep.Stream.Corrected {
+		for ti, v := range series {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("stream: event %d interval %d posterior mean %v", id, ti, v)
+			}
+		}
 	}
 }

@@ -65,8 +65,7 @@ type DerivedStreamReport struct {
 type Report struct {
 	Arch      string
 	Intervals int
-	Groups    int  // multiplexing groups of the source's scheduler (0 if unknown)
-	FastMath  bool // inference ran the fast-math kernel (WithFastMath)
+	Groups    int // multiplexing groups of the source's scheduler (0 if unknown)
 	HasTruth  bool
 
 	// Metrics echoes the registry attached via WithMetrics (nil without
@@ -137,7 +136,6 @@ func (s *Session) batchReport(cat *Catalog, src Source, est []measure.Sample,
 		Arch:        cat.Arch,
 		Intervals:   intervals,
 		Groups:      groupCount(src),
-		FastMath:    s.cfg.FastMath,
 		Iters:       post.Iters,
 		Converged:   post.Converged,
 		Metrics:     s.obs,
@@ -214,7 +212,6 @@ func (s *Session) streamReport(cat *Catalog, src Source, sched Scheduler,
 		Arch:               cat.Arch,
 		Intervals:          res.Intervals,
 		Groups:             groupCount(src),
-		FastMath:           s.cfg.FastMath,
 		Windows:            res.Windows,
 		Duration:           dur,
 		Converged:          res.AllConverged,
