@@ -24,16 +24,13 @@
 //	hotalloc      functions annotated //bayesperf:hotpath must not allocate
 //	nilrecv       types annotated //bayesvet:nilsafe must nil-guard their
 //	              exported pointer-receiver methods
-//	locksafe      lock-set dataflow over each function's CFG: no lock leaked
-//	              to a return, no double Lock / RLock-Lock mixing, no
-//	              Unlock/RUnlock mismatch, no copied locks (concurrency
-//	              packages)
-//	atomicmix     a variable accessed via sync/atomic must never be accessed
-//	              plainly (concurrency packages)
-//	wgdiscipline  WaitGroup.Add must precede the go statement it gates; no
-//	              Wait while a lock is held (concurrency packages)
-//	blockinglock  no blocking channel ops, Wait, or nested Lock while a
-//	              mutex is held (concurrency packages)
+//	locksafe      every Lock/RLock is followed by defer Unlock/RUnlock on
+//	              the same primitive; nothing blocks (channel ops, blocking
+//	              select, WaitGroup.Wait, another Lock) while it is held; no
+//	              struct embeds a sync primitive
+//
+// Copied locks and atomics are go vet's copylocks check; WaitGroup.Add
+// racing with Wait is go test -race's.
 //
 // Output formats (-format): "text" (default) prints one finding per line;
 // "json" prints a machine-readable array; "github" prints GitHub Actions
@@ -62,26 +59,14 @@ import (
 
 // scope maps each path-scoped rule to the module-relative package
 // directories it applies to; rules absent from the map (the
-// annotation-driven hotalloc and nilrecv, plus the everywhere-on floateq)
-// run on every package.
+// annotation-driven hotalloc and nilrecv, plus the everywhere-on floateq
+// and locksafe) run on every package.
 var scope = map[string][]string{
 	"maporder": {
 		"internal/graph", "internal/stream", "internal/measure",
 		"internal/uarch", "internal/timeseries", "internal/obs",
 	},
 	"kernelpurity": {"internal/graph"},
-	// The concurrency family runs where goroutines, locks, and atomics
-	// live today — plus the packages the fleet-scale engine will grow into.
-	"locksafe":     concurrencyScope,
-	"atomicmix":    concurrencyScope,
-	"wgdiscipline": concurrencyScope,
-	"blockinglock": concurrencyScope,
-}
-
-var concurrencyScope = []string{
-	"internal/graph", "internal/stream", "internal/measure",
-	"internal/uarch", "internal/timeseries", "internal/obs",
-	"pkg/bayesperf", "cmd/bayesperf",
 }
 
 func main() {

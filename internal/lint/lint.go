@@ -13,17 +13,14 @@
 //	floateq       no tolerance-free float comparisons outside tests
 //	hotalloc      //bayesperf:hotpath functions must not allocate
 //	nilrecv       //bayesvet:nilsafe instruments guard nil receivers
-//	locksafe      lock-set dataflow: leaked/double/mismatched/copied locks
-//	atomicmix     sync/atomic'd variables are never accessed plainly
-//	wgdiscipline  WaitGroup.Add precedes the go it gates; no Wait under lock
-//	blockinglock  no blocking channel ops / Wait / nested Lock under a mutex
+//	locksafe      Lock; defer Unlock pairs, nothing blocking while held,
+//	              no embedded locks
 //
-// The first five are AST pattern matchers. The concurrency family
-// (locksafe, atomicmix, wgdiscipline, blockinglock) runs on the package's
-// dataflow engine — a per-function control-flow graph (cfg.go) and a
-// generic forward worklist solver (dataflow.go) — because its invariants
-// are path properties ("held on some path to this return") that no single
-// AST pattern can see.
+// All six are AST pattern matchers over one type-checked package. The
+// concurrency invariants a syntactic rule cannot see are left to the gates
+// that already hold them: go vet's copylocks (copied locks and atomics),
+// typed sync/atomic values (a plain access to an atomic cannot be written),
+// and go test -race (a WaitGroup.Add racing with Wait).
 //
 // Analyzers are scope-agnostic: they analyze whatever package they are
 // handed. The driver (cmd/bayesvet) decides which analyzers apply to which
@@ -165,8 +162,7 @@ func SortDiagnostics(diags []Diagnostic) {
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		MapOrder, KernelPurity, FloatEq, HotAlloc, NilRecv,
-		LockSafe, AtomicMix, WGDiscipline, BlockingLock,
+		MapOrder, KernelPurity, FloatEq, HotAlloc, NilRecv, LockSafe,
 	}
 }
 

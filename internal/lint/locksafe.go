@@ -4,439 +4,250 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// LockSafe is the lock-discipline rule: a per-function lock-set dataflow
-// over the CFG, plus AST-level copylock checks.
+// LockSafe is the lock-discipline rule. It is syntactic, which suffices for
+// code that takes every lock with the `mu.Lock(); defer mu.Unlock()` idiom.
+// It reports:
 //
-// The dataflow tracks, for every mutex/RWMutex the function touches, whether
-// it is held (write-locked), read-held, or held on only some paths, with
-// deferred unlocks applied at each return. It reports:
+//   - an X.Lock() / X.RLock() statement not followed immediately by
+//     defer X.Unlock() / defer X.RUnlock(), and any Unlock/RUnlock that is
+//     not deferred (so a correct Lock … Unlock without defer is reported)
+//   - anything that can block from such a pair to the end of its block,
+//     where the lock is held: channel send or receive, range over a
+//     channel, select without default, WaitGroup.Wait, or another
+//     Lock/RLock (function literal bodies run elsewhere and are skipped)
+//   - a sync primitive embedded by value in a struct: every copy copies the
+//     lock, and Lock/Unlock are promoted into the struct's API
 //
-//   - a lock still (or possibly still) held at a return — the classic
-//     early-return leak
-//   - double Lock / recursive RLock on the same primitive (self-deadlock;
-//     recursive RLock deadlocks once a writer queues between the two)
-//   - Unlock without Lock, and Unlock/RUnlock mismatches on an RWMutex
-//   - Lock while the same RWMutex is read-held (upgrade deadlock)
-//
-// The copylock checks flag lock-carrying values that Go will silently copy:
-// embedded (anonymous) sync.Mutex/RWMutex/WaitGroup/Once/Cond value fields
-// — which additionally promote Lock/Unlock into the outer type's method set
-// — value receivers, and by-value parameters of lock-containing types.
+// Receivers match by the object they resolve to; dynamic receivers such as
+// locks[i] are skipped. Copied locks are go vet's copylocks check.
 //
 // Escape hatch: //bayesvet:locksafe <reason> on the line or the line above.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "lock-set dataflow: leaked/double/mismatched locks, copied locks",
+	Doc:  "Lock is followed by defer Unlock, nothing blocks while it is held, no embedded locks",
 	Run:  runLockSafe,
 }
 
 const lockSafeDirective = "bayesvet:locksafe"
 
+// unlockFor maps each acquiring method to the release its defer must call.
+var unlockFor = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
+
+type reporter func(pos token.Pos, format string, args ...any)
+
 func runLockSafe(p *Pass) {
 	for _, file := range p.Files {
-		checkEmbeddedLocks(p, file)
-		checkValueCarriers(p, file)
-		for _, fn := range funcBodies(file) {
-			checkLockDiscipline(p, file, fn.body)
-		}
-	}
-}
-
-// ---- lock-set dataflow ----
-
-// lockState is the per-primitive lattice. Absence from the held map means
-// "unlocked on every path"; lockMaybe is the top element.
-type lockState uint8
-
-const (
-	lockHeld  lockState = iota // write-locked on every path
-	lockRHeld                  // read-locked on every path
-	lockMaybe                  // locked on some paths only, or TryLock'd
-)
-
-// deferAction records what a registered defer will do to a primitive when
-// the function returns.
-type deferAction uint8
-
-const (
-	deferUnlock  deferAction = iota // defer mu.Unlock() on every path
-	deferRUnlock                    // defer mu.RUnlock() on every path
-	deferMixed                      // registered on only some paths: unknowable
-)
-
-// lockFacts is the dataflow state: the lock set plus pending defers. Values
-// are immutable — every update copies (the maps are tiny: functions touch
-// one or two locks).
-type lockFacts struct {
-	held   map[syncObj]lockState
-	defers map[syncObj]deferAction
-}
-
-func (f lockFacts) withHeld(k syncObj, s lockState) lockFacts {
-	held := make(map[syncObj]lockState, len(f.held)+1)
-	for o, v := range f.held {
-		held[o] = v
-	}
-	held[k] = s
-	return lockFacts{held: held, defers: f.defers}
-}
-
-func (f lockFacts) withoutHeld(k syncObj) lockFacts {
-	if _, ok := f.held[k]; !ok {
-		return f
-	}
-	held := make(map[syncObj]lockState, len(f.held))
-	for o, v := range f.held {
-		if o != k {
-			held[o] = v
-		}
-	}
-	return lockFacts{held: held, defers: f.defers}
-}
-
-func (f lockFacts) withDefer(k syncObj, a deferAction) lockFacts {
-	defers := make(map[syncObj]deferAction, len(f.defers)+1)
-	for o, v := range f.defers {
-		defers[o] = v
-	}
-	defers[k] = a
-	return lockFacts{held: f.held, defers: defers}
-}
-
-// lockFlow implements Flow for the lock-set analysis. Transfer delegates to
-// apply with a nil reporter; the rule replays with a real reporter.
-type lockFlow struct {
-	info *types.Info
-}
-
-func (lf *lockFlow) Entry() any { return lockFacts{} }
-
-func (lf *lockFlow) Transfer(n ast.Node, state any) any {
-	return lf.apply(n, state.(lockFacts), nil)
-}
-
-func (lf *lockFlow) Join(a, b any) any {
-	fa, fb := a.(lockFacts), b.(lockFacts)
-	held := make(map[syncObj]lockState, len(fa.held)+len(fb.held))
-	for k, va := range fa.held {
-		if vb, ok := fb.held[k]; ok && vb == va {
-			held[k] = va
-		} else {
-			held[k] = lockMaybe // unlocked or different on the other path
-		}
-	}
-	for k := range fb.held {
-		if _, ok := fa.held[k]; !ok {
-			held[k] = lockMaybe
-		}
-	}
-	defers := make(map[syncObj]deferAction, len(fa.defers)+len(fb.defers))
-	for k, va := range fa.defers {
-		if vb, ok := fb.defers[k]; ok && vb == va {
-			defers[k] = va
-		} else {
-			defers[k] = deferMixed
-		}
-	}
-	for k := range fb.defers {
-		if _, ok := fa.defers[k]; !ok {
-			defers[k] = deferMixed
-		}
-	}
-	return lockFacts{held: held, defers: defers}
-}
-
-func (lf *lockFlow) Equal(a, b any) bool {
-	fa, fb := a.(lockFacts), b.(lockFacts)
-	if len(fa.held) != len(fb.held) || len(fa.defers) != len(fb.defers) {
-		return false
-	}
-	for k, v := range fa.held {
-		if w, ok := fb.held[k]; !ok || w != v {
-			return false
-		}
-	}
-	for k, v := range fa.defers {
-		if w, ok := fb.defers[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
-
-// lockReporter reports one finding during replay; nil during fixpoint
-// iteration.
-type lockReporter func(pos token.Pos, format string, args ...any)
-
-// apply executes one CFG node against the lock facts. With a non-nil
-// reporter it also diagnoses; the state it returns is identical either way.
-func (lf *lockFlow) apply(n ast.Node, st lockFacts, report lockReporter) lockFacts {
-	switch s := n.(type) {
-	case *ast.DeferStmt:
-		if recv, typ, method, ok := syncMethodCall(lf.info, s.Call); ok && isLockType(typ) {
-			if key, ok := resolveSyncObj(lf.info, recv); ok {
-				switch method {
-				case "Unlock":
-					return st.withDefer(key, deferUnlock)
-				case "RUnlock":
-					return st.withDefer(key, deferRUnlock)
-				case "Lock", "RLock":
-					// defer mu.Lock() is almost certainly a typo'd unlock,
-					// but without knowing intent the safe move is to stop
-					// tracking this primitive's defers.
-					return st.withDefer(key, deferMixed)
-				}
+		report := func(pos token.Pos, format string, args ...any) {
+			if !p.Annotated(file, pos, lockSafeDirective) {
+				p.Report(pos, format, args...)
 			}
 		}
-		return st
-	case *ast.ReturnStmt:
-		if report != nil {
-			lf.checkReturn(s.Return, st, report)
-		}
-		return st
-	case *ImplicitReturn:
-		if report != nil {
-			lf.checkReturn(s.Rbrace, st, report)
-		}
-		return st
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				checkLockPairs(p.Info, n.List, report)
+			case *ast.CaseClause:
+				checkLockPairs(p.Info, n.Body, report)
+			case *ast.CommClause:
+				checkLockPairs(p.Info, n.Body, report)
+			case *ast.StructType:
+				checkEmbeddedLocks(p.Info, n, report)
+			}
+			return true
+		})
 	}
-	InspectShallow(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok {
-			st = lf.applyCall(call, st, report)
-		}
-		return true
-	})
-	return st
 }
 
-func (lf *lockFlow) applyCall(call *ast.CallExpr, st lockFacts, report lockReporter) lockFacts {
-	recv, typ, method, ok := syncMethodCall(lf.info, call)
-	if !ok || !isLockType(typ) {
-		return st
-	}
-	key, ok := resolveSyncObj(lf.info, recv)
-	if !ok {
-		return st
-	}
-	name := key.name()
-	prev, present := st.held[key]
-	switch method {
-	case "Lock":
-		if report != nil && present {
-			switch prev {
-			case lockHeld:
-				report(call.Pos(), "second Lock of %s while it is already held: self-deadlock", name)
-			case lockRHeld:
-				report(call.Pos(), "Lock of %s while it is read-locked: read-to-write upgrade deadlocks", name)
-			}
-		}
-		return st.withHeld(key, lockHeld)
-	case "RLock":
-		if report != nil && present {
-			switch prev {
-			case lockHeld:
-				report(call.Pos(), "RLock of %s while its write lock is held: self-deadlock", name)
-			case lockRHeld:
-				report(call.Pos(), "recursive RLock of %s: deadlocks once a writer queues between the two", name)
-			}
-		}
-		return st.withHeld(key, lockRHeld)
-	case "Unlock":
-		if report != nil {
-			if !present {
-				report(call.Pos(), "Unlock of %s which is not locked on any path to here", name)
-			} else if prev == lockRHeld {
-				report(call.Pos(), "Unlock of %s but it is read-locked: use RUnlock", name)
-			}
-		}
-		return st.withoutHeld(key)
-	case "RUnlock":
-		if report != nil {
-			if !present {
-				report(call.Pos(), "RUnlock of %s which is not read-locked on any path to here", name)
-			} else if prev == lockHeld {
-				report(call.Pos(), "RUnlock of %s but its write lock is held: use Unlock", name)
-			}
-		}
-		return st.withoutHeld(key)
-	case "TryLock", "TryRLock":
-		return st.withHeld(key, lockMaybe)
-	}
-	return st
-}
-
-// checkReturn applies the pending defers to the lock set and reports any
-// primitive still (or possibly still) held at this return.
-func (lf *lockFlow) checkReturn(pos token.Pos, st lockFacts, report lockReporter) {
-	eff := st
-	suppressed := map[syncObj]bool{}
-	for _, k := range sortedSyncObjs(st.defers) {
-		switch st.defers[k] {
-		case deferUnlock, deferRUnlock:
-			eff = eff.withoutHeld(k)
-		case deferMixed:
-			suppressed[k] = true // conditional defer: can't reason about it
-		}
-	}
-	for _, k := range sortedSyncObjs(eff.held) {
-		if suppressed[k] {
+// checkLockPairs checks the lock statements of one statement list and scans
+// the region each Lock/defer-Unlock pair holds.
+func checkLockPairs(info *types.Info, list []ast.Stmt, report reporter) {
+	for i, s := range list {
+		es, ok := s.(*ast.ExprStmt)
+		if !ok {
 			continue
 		}
-		switch eff.held[k] {
-		case lockHeld, lockRHeld:
-			report(pos, "%s is still locked at this return", k.name())
-		case lockMaybe:
-			report(pos, "%s may still be locked at this return (locked on some paths only)", k.name())
-		}
-	}
-}
-
-// checkLockDiscipline runs the lock-set dataflow over one function body.
-func checkLockDiscipline(p *Pass, file *ast.File, body *ast.BlockStmt) {
-	lf := &lockFlow{info: p.Info}
-	sol := Solve(NewCFG(body), lf)
-	report := func(pos token.Pos, format string, args ...any) {
-		if !p.Annotated(file, pos, lockSafeDirective) {
-			p.Report(pos, format, args...)
-		}
-	}
-	sol.Replay(func(n ast.Node, before any) {
-		lf.apply(n, before.(lockFacts), report)
-	})
-}
-
-// ---- copylock checks ----
-
-// lockTypeNames are the sync types whose values must never be copied (they
-// all embed a noCopy or carry internal state that copying corrupts).
-var lockTypeNames = map[string]bool{
-	"Mutex":     true,
-	"RWMutex":   true,
-	"WaitGroup": true,
-	"Once":      true,
-	"Cond":      true,
-}
-
-// isUncopyableSync reports whether t is a sync (or sync/atomic) type whose
-// values must not be copied, returning its display name.
-func isUncopyableSync(t types.Type) (string, bool) {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", false
-	}
-	switch obj.Pkg().Path() {
-	case "sync":
-		if lockTypeNames[obj.Name()] {
-			return "sync." + obj.Name(), true
-		}
-	case "sync/atomic":
-		return "atomic." + obj.Name(), true
-	}
-	return "", false
-}
-
-// typeCarriesLock reports whether a value of type t contains an uncopyable
-// sync primitive by value (struct fields and array elements recurse;
-// pointers, slices, maps, and channels reference rather than carry).
-func typeCarriesLock(t types.Type) (string, bool) {
-	return typeCarriesLock1(t, make(map[types.Type]bool))
-}
-
-func typeCarriesLock1(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	if name, ok := isUncopyableSync(t); ok {
-		return name, true
-	}
-	switch u := t.(type) {
-	case *types.Named:
-		return typeCarriesLock1(u.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name, ok := typeCarriesLock1(u.Field(i).Type(), seen); ok {
-				return name, true
-			}
-		}
-	case *types.Array:
-		return typeCarriesLock1(u.Elem(), seen)
-	}
-	return "", false
-}
-
-// checkEmbeddedLocks flags anonymous sync primitive value fields: every
-// copy of the struct copies the lock, and the promoted Lock/Unlock methods
-// become part of the outer type's API.
-func checkEmbeddedLocks(p *Pass, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		st, ok := n.(*ast.StructType)
+		call, ok := es.X.(*ast.CallExpr)
 		if !ok {
-			return true
+			continue
 		}
-		for _, fld := range st.Fields.List {
-			if len(fld.Names) != 0 {
-				continue // named field: carrying a lock by name is fine
+		obj, method, ok := lockMethod(info, call)
+		if !ok {
+			continue
+		}
+		unlock, acquires := unlockFor[method]
+		switch {
+		case method == "Unlock" || method == "RUnlock":
+			report(call.Pos(), "%s.%s() is not deferred: defer it right after the Lock", obj.name(), method)
+		case !acquires: // TryLock, TryRLock: not paired
+		case i+1 < len(list) && defersRelease(info, list[i+1], obj, unlock):
+			checkHeldRegion(info, list[i+2:], obj.name(), report)
+		default:
+			report(call.Pos(), "%s.%s() is not followed by defer %s.%s()", obj.name(), method, obj.name(), unlock)
+		}
+	}
+}
+
+// defersRelease reports whether s is `defer X.<unlock>()` on obj.
+func defersRelease(info *types.Info, s ast.Stmt, obj syncObj, unlock string) bool {
+	d, ok := s.(*ast.DeferStmt)
+	if !ok {
+		return false
+	}
+	o, method, ok := lockMethod(info, d.Call)
+	return ok && o == obj && method == unlock
+}
+
+// checkHeldRegion reports every operation in stmts that can block while the
+// named lock is held.
+func checkHeldRegion(info *types.Info, stmts []ast.Stmt, held string, report reporter) {
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SendStmt:
+			report(n.Arrow, "channel send while %s is held", held)
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				report(n.OpPos, "channel receive while %s is held", held)
 			}
-			if _, isPtr := fld.Type.(*ast.StarExpr); isPtr {
-				continue // pointer embed references, it does not carry
+		case *ast.RangeStmt:
+			if t := info.TypeOf(n.X); t != nil {
+				if _, isChan := t.Underlying().(*types.Chan); isChan {
+					report(n.X.Pos(), "range over a channel while %s is held", held)
+				}
 			}
-			tv, ok := p.Info.Types[fld.Type]
-			if !ok {
-				continue
+		case *ast.SelectStmt:
+			// The comm clauses block only when there is no default; the
+			// case bodies run under the lock like any other statement.
+			blocking := true
+			for _, c := range n.Body.List {
+				cc := c.(*ast.CommClause)
+				blocking = blocking && cc.Comm != nil
+				for _, s := range cc.Body {
+					inspectShallow(s, visit)
+				}
 			}
-			name, ok := isUncopyableSync(tv.Type)
-			if !ok {
-				continue
+			if blocking {
+				report(n.Select, "select without default while %s is held", held)
 			}
-			if p.Annotated(file, fld.Pos(), lockSafeDirective) {
-				continue
+			return false
+		case *ast.CallExpr:
+			if obj, method, ok := lockMethod(info, n); ok && unlockFor[method] != "" {
+				report(n.Pos(), "%s.%s() while %s is held: self- or lock-order deadlock", obj.name(), method, held)
+			} else if name, _, _ := syncMethod(info, n); name == "(*sync.WaitGroup).Wait" {
+				report(n.Pos(), "WaitGroup.Wait while %s is held", held)
 			}
-			p.Report(fld.Pos(), "embedding %s: every struct copy copies the lock and its methods are promoted into the API; use a named field instead", name)
 		}
 		return true
+	}
+	for _, s := range stmts {
+		inspectShallow(s, visit)
+	}
+}
+
+// inspectShallow walks n like ast.Inspect but does not descend into function
+// literals, whose bodies run elsewhere; the literal itself is still visited.
+func inspectShallow(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, isLit := m.(*ast.FuncLit); isLit {
+			f(m)
+			return false
+		}
+		return f(m)
 	})
 }
 
-// checkValueCarriers flags value receivers and by-value parameters whose
-// type carries a lock: the call copies the primitive.
-func checkValueCarriers(p *Pass, file *ast.File) {
-	checkFields := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
+// checkEmbeddedLocks flags anonymous sync primitive value fields.
+func checkEmbeddedLocks(info *types.Info, st *ast.StructType, report reporter) {
+	for _, fld := range st.Fields.List {
+		if len(fld.Names) != 0 {
+			continue // a named field carries the lock without promoting it
 		}
-		for _, fld := range fl.List {
-			if _, isPtr := fld.Type.(*ast.StarExpr); isPtr {
-				continue
-			}
-			tv, ok := p.Info.Types[fld.Type]
-			if !ok {
-				continue
-			}
-			name, ok := typeCarriesLock(tv.Type)
-			if !ok {
-				continue
-			}
-			if p.Annotated(file, fld.Pos(), lockSafeDirective) {
-				continue
-			}
-			p.Report(fld.Pos(), "%s copies a value carrying %s; pass a pointer instead", what, name)
+		named, ok := info.TypeOf(fld.Type).(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			continue // pointer embeds reference rather than carry
+		}
+		pkg, name := named.Obj().Pkg().Path(), named.Obj().Name()
+		if pkg == "sync/atomic" || pkg == "sync" && uncopyableSync[name] {
+			report(fld.Pos(), "embedding %s.%s: every struct copy copies the lock and its methods are promoted into the API; use a named field instead",
+				named.Obj().Pkg().Name(), name)
 		}
 	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			checkFields(fn.Recv, "value receiver")
-			checkFields(fn.Type.Params, "by-value parameter")
-		case *ast.FuncLit:
-			checkFields(fn.Type.Params, "by-value parameter")
+}
+
+// uncopyableSync are the sync types whose values must never be copied.
+var uncopyableSync = map[string]bool{"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true}
+
+// syncObj names one sync primitive: the object the receiver expression's
+// root identifier resolves to, plus the selector path from it.
+type syncObj struct {
+	root types.Object
+	path string
+}
+
+func (o syncObj) name() string { return o.root.Name() + o.path }
+
+// lockTypes are the receivers whose methods the rule pairs, spelled as in
+// types.Func.FullName.
+var lockTypes = map[string]bool{"(*sync.Mutex)": true, "(*sync.RWMutex)": true, "(sync.Locker)": true}
+
+// lockMethod classifies call as a method call on a resolvable Mutex,
+// RWMutex or Locker, returning the primitive and the method name.
+func lockMethod(info *types.Info, call *ast.CallExpr) (syncObj, string, bool) {
+	name, recv, ok := syncMethod(info, call)
+	if !ok {
+		return syncObj{}, "", false
+	}
+	dot := strings.LastIndexByte(name, '.')
+	if !lockTypes[name[:dot]] {
+		return syncObj{}, "", false
+	}
+	obj, ok := resolveSyncObj(info, recv)
+	return obj, name[dot+1:], ok
+}
+
+// syncMethod returns the full name of the package sync method call invokes
+// ("(*sync.Mutex).Lock", also when promoted from an embedded field) and its
+// receiver expression.
+func syncMethod(info *types.Info, call *ast.CallExpr) (name string, recv ast.Expr, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", nil, false
+	}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal || s.Obj().Pkg() == nil || s.Obj().Pkg().Path() != "sync" {
+		return "", nil, false
+	}
+	return s.Obj().(*types.Func).FullName(), sel.X, true
+}
+
+// resolveSyncObj resolves a receiver expression through selector, paren,
+// star and address-of chains down to an identifier. It fails on anything
+// dynamic (index expressions, call results), where two mentions cannot be
+// proven to name the same primitive.
+func resolveSyncObj(info *types.Info, e ast.Expr) (syncObj, bool) {
+	path := ""
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return syncObj{}, false
+			}
+			e = x.X
+		case *ast.SelectorExpr:
+			path = "." + x.Sel.Name + path
+			e = x.X
+		case *ast.Ident:
+			obj := info.ObjectOf(x)
+			return syncObj{root: obj, path: path}, obj != nil
+		default:
+			return syncObj{}, false
 		}
-		return true
-	})
+	}
 }

@@ -398,6 +398,38 @@ func sourceScheduler(src Source) Scheduler {
 	return nil
 }
 
+// checkInterval rejects an interval the pipeline cannot index: an event
+// outside the catalog, or Values that do not parallel Events. Both run
+// modes check every interval here, once, before any layer below reads it.
+func checkInterval(cat *Catalog, iv Interval) error {
+	if len(iv.Values) != len(iv.Events) {
+		return fmt.Errorf("bayesperf: source emitted interval %d with %d values for %d events", iv.T, len(iv.Values), len(iv.Events))
+	}
+	for _, id := range iv.Events {
+		if id < 0 || int(id) >= cat.NumEvents() {
+			return fmt.Errorf("bayesperf: source emitted event %d outside catalog %s", id, cat.Arch)
+		}
+	}
+	return nil
+}
+
+// checkedSource ends the stream at the first malformed interval and keeps
+// its error: the engine never sees the interval, and still finishes and
+// joins its workers as at any end of stream.
+type checkedSource struct {
+	src Source
+	cat *Catalog
+	err error
+}
+
+func (c *checkedSource) Next() (Interval, bool) {
+	iv, ok := c.src.Next()
+	if ok {
+		c.err = checkInterval(c.cat, iv)
+	}
+	return iv, ok && c.err == nil
+}
+
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // sessionMetrics is the session layer's instrument set for one run mode.
@@ -448,10 +480,10 @@ func (s *Session) RunBatch(src Source) (*Report, error) {
 		if !ok {
 			break
 		}
+		if err := checkInterval(cat, iv); err != nil {
+			return nil, err
+		}
 		for i, id := range iv.Events {
-			if id < 0 || int(id) >= len(xs) {
-				return nil, fmt.Errorf("bayesperf: source emitted event %d outside catalog %s", id, cat.Arch)
-			}
 			if v := iv.Values[i]; finite(v) {
 				xs[id] = append(xs[id], v)
 			} else {
@@ -508,8 +540,12 @@ func (s *Session) RunStream(src Source) (*Report, error) {
 	sm.runs.Inc()
 
 	start := time.Now()
-	res := stream.Run(cat, src, sched, cfg)
+	checked := &checkedSource{src: src, cat: cat}
+	res := stream.Run(cat, checked, sched, cfg)
 	dur := time.Since(start)
+	if checked.err != nil {
+		return nil, checked.err
+	}
 	if res.Intervals == 0 {
 		return nil, fmt.Errorf("bayesperf: source produced no intervals")
 	}

@@ -2,8 +2,10 @@ package bayesperf_test
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"bayesperf/internal/measure"
 	"bayesperf/internal/rng"
@@ -549,5 +551,68 @@ func TestSessionOverflowingTotals(t *testing.T) {
 				t.Fatalf("stream: event %d interval %d posterior mean %v", id, ti, v)
 			}
 		}
+	}
+}
+
+// malformedSource reads every event of its catalog at 1e6 per interval and,
+// at interval bad, hands its interval to corrupt first.
+type malformedSource struct {
+	cat     *bayesperf.Catalog
+	corrupt func(*bayesperf.Interval)
+	bad, i  int
+}
+
+func (s *malformedSource) Catalog() *bayesperf.Catalog { return s.cat }
+
+func (s *malformedSource) Next() (bayesperf.Interval, bool) {
+	if s.i == 2*s.bad {
+		return bayesperf.Interval{}, false
+	}
+	iv := bayesperf.Interval{T: s.i}
+	for id := 0; id < s.cat.NumEvents(); id++ {
+		iv.Events = append(iv.Events, uarch.EventID(id))
+		iv.Values = append(iv.Values, 1e6)
+	}
+	if s.i == s.bad {
+		s.corrupt(&iv)
+	}
+	s.i++
+	return iv, true
+}
+
+// TestSessionRejectsMalformedIntervals: an interval naming an event outside
+// the catalog, or carrying fewer values than events, is untrusted input
+// both run modes must reject with an error — not a panic — and the stream
+// run must still join its inference workers.
+func TestSessionRejectsMalformedIntervals(t *testing.T) {
+	cat := uarch.Skylake()
+	corruptions := map[string]func(*bayesperf.Interval){
+		"event id past the catalog": func(iv *bayesperf.Interval) { iv.Events[3] = uarch.EventID(999) },
+		"negative event id":         func(iv *bayesperf.Interval) { iv.Events[3] = -1 },
+		"short values":              func(iv *bayesperf.Interval) { iv.Values = iv.Values[:len(iv.Values)-1] },
+	}
+	runs := map[string]func(*bayesperf.Session, bayesperf.Source) (*bayesperf.Report, error){
+		"batch":  (*bayesperf.Session).RunBatch,
+		"stream": (*bayesperf.Session).RunStream,
+	}
+	goroutines := runtime.NumGoroutine()
+	for cname, corrupt := range corruptions {
+		for rname, run := range runs {
+			sess, err := bayesperf.New(bayesperf.WithCatalog(cat), bayesperf.WithWorkers(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := run(sess, &malformedSource{cat: cat, corrupt: corrupt, bad: 40})
+			if err == nil || rep != nil || !strings.Contains(err.Error(), "source emitted") {
+				t.Errorf("%s, %s: report %v, err %v; want the malformed-interval error", rname, cname, rep, err)
+			}
+		}
+	}
+	// Workers exit just after signalling the engine, so give them a moment.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the runs, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

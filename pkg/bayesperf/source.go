@@ -14,7 +14,9 @@ import (
 // Next returns one interval's counted events and values, then false at end
 // of stream. Values index-parallel Events; non-finite values are treated as
 // corrupted readings and dropped by the consumers. Catalog reports the
-// catalog whose EventIDs the intervals are expressed in.
+// catalog whose EventIDs the intervals are expressed in. A Session run
+// stops with an error at the first interval naming an event outside that
+// catalog or whose Values and Events differ in length.
 type Source interface {
 	Catalog() *Catalog
 	Next() (Interval, bool)
