@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"fmt"
 	"testing"
 
 	"bayesperf/internal/rng"
@@ -40,5 +41,24 @@ func BenchmarkAlignedRelError512(b *testing.B) {
 		if _, err := AlignedRelError(ref, target, 64, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAlignedRelError times the §6.2 metric at the report's band of
+// n/4 in a reused Aligner, as each of the report's workers runs it: the
+// evaluation layer's cost per alignment.
+func BenchmarkAlignedRelError(b *testing.B) {
+	for _, n := range []int{750, 1500, 3000} {
+		ref := randomSeries(n, 3)
+		target := randomSeries(n, 4)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var al Aligner
+			for i := 0; i < b.N; i++ {
+				if _, err := al.AlignedRelError(ref, target, n/4, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -244,6 +244,65 @@ func TestSessionBatchWidthInvariance(t *testing.T) {
 	}
 }
 
+// TestStreamReportDeterministicAcrossWorkers: the report fans its DTW
+// alignments out over the session's workers, and must reduce them into a
+// bit-identical report for any worker count.
+func TestStreamReportDeterministicAcrossWorkers(t *testing.T) {
+	cat := uarch.Skylake()
+	wl := bayesperf.DefaultWorkload(60)
+	mux := bayesperf.DefaultMuxConfig()
+	run := func(workers int) *bayesperf.Report {
+		sess, err := bayesperf.New(
+			bayesperf.WithCatalog(cat),
+			bayesperf.WithMux(mux),
+			bayesperf.WithDerived(true),
+			bayesperf.WithWorkers(workers),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.RunStream(bayesperf.NewSimSource(cat, wl, mux, 9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	bits := math.Float64bits
+	one, four := run(1), run(4)
+	if len(one.DerivedStream) == 0 {
+		t.Fatal("no derived stream rows to compare")
+	}
+	for _, f := range []struct {
+		name      string
+		one, four float64
+	}{
+		{"NaiveAligned", one.NaiveAligned, four.NaiveAligned},
+		{"WindowedAligned", one.WindowedAligned, four.WindowedAligned},
+		{"CorrectedAligned", one.CorrectedAligned, four.CorrectedAligned},
+		{"DerivedNaiveAligned", one.DerivedNaiveAligned, four.DerivedNaiveAligned},
+		{"DerivedWindowedAligned", one.DerivedWindowedAligned, four.DerivedWindowedAligned},
+		{"DerivedCorrectedAligned", one.DerivedCorrectedAligned, four.DerivedCorrectedAligned},
+	} {
+		if bits(f.one) != bits(f.four) {
+			t.Errorf("%s: workers=1 %v, workers=4 %v", f.name, f.one, f.four)
+		}
+	}
+	if len(four.DerivedStream) != len(one.DerivedStream) {
+		t.Fatalf("DerivedStream rows: workers=1 %d, workers=4 %d", len(one.DerivedStream), len(four.DerivedStream))
+	}
+	for i, a := range one.DerivedStream {
+		b := four.DerivedStream[i]
+		if a.Name != b.Name ||
+			bits(a.NaiveAligned) != bits(b.NaiveAligned) ||
+			bits(a.WindowedAligned) != bits(b.WindowedAligned) ||
+			bits(a.CorrectedAligned) != bits(b.CorrectedAligned) ||
+			bits(a.MeanPostStd) != bits(b.MeanPostStd) ||
+			bits(a.MinPostStd) != bits(b.MinPostStd) {
+			t.Errorf("DerivedStream[%d]: workers=1 %+v, workers=4 %+v", i, a, b)
+		}
+	}
+}
+
 // TestSessionCovarianceTightensCoupledStd: WithCovariance must change only
 // the derived stds whose inputs share an invariant — and on the
 // sum-coupled Branch_Misp_Rate it must not increase the reported batch

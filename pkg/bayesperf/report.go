@@ -1,6 +1,8 @@
 package bayesperf
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bayesperf/internal/graph"
@@ -232,49 +234,120 @@ func (s *Session) streamReport(cat *Catalog, src Source, sched Scheduler,
 	rep.HasTruth = true
 	band := tr.Intervals() / 4
 
-	var err error
-	if rep.NaiveAligned, err = alignedMean(tr, res.NaiveRaw, band); err != nil {
-		return nil, err
+	// Queue every alignment — naive, windowed and corrected over the
+	// events, then (§6.2, only when asked for) naive, windowed and
+	// corrected for each derived event in turn — and run the queue on the
+	// session's workers.
+	estimators := [][]timeseries.Series{res.NaiveRaw, res.WindowedRaw, res.Corrected}
+	var jobs []alignment
+	for _, target := range estimators {
+		for id := range tr.Series {
+			jobs = append(jobs, alignment{tr.Series[id], target[id], eventRelErrFloor})
+		}
 	}
-	if rep.WindowedAligned, err = alignedMean(tr, res.WindowedRaw, band); err != nil {
-		return nil, err
-	}
-	if rep.CorrectedAligned, err = alignedMean(tr, res.Corrected, band); err != nil {
-		return nil, err
-	}
-	rep.CorrTotalsErr = totalsErr(tr, res.Corrected)
-
-	// Derived-event streaming evaluation (§6.2) — only when asked for: it
-	// costs one DTW alignment per estimator per derived event.
 	if s.derived {
-		if rep.DerivedStream, err = evalDerivedStream(cat, tr, res, band); err != nil {
-			return nil, err
+		// The derived definitions come from the session catalog — the one
+		// that sized the result's series — not the trace's, which
+		// bindCatalog only guarantees to be event-aligned; the truth series
+		// gather per-event inputs from the trace, where EventIDs do align.
+		for di := range cat.Derived {
+			d := &cat.Derived[di]
+			gather := make([]timeseries.Series, len(d.Inputs))
+			for i, id := range d.Inputs {
+				gather[i] = tr.Series[id]
+			}
+			truth := timeseries.Map(d.Eval, gather...)
+			for _, target := range []timeseries.Series{res.DerivedNaive[di], res.DerivedWindowedRaw[di], res.DerivedCorrected[di]} {
+				jobs = append(jobs, alignment{truth, target, derivedAlignedRelErrFloor})
+			}
 		}
-		var dn, dw, dc stats.Running
-		for _, row := range rep.DerivedStream {
-			dn.Add(row.NaiveAligned)
-			dw.Add(row.WindowedAligned)
-			dc.Add(row.CorrectedAligned)
-		}
-		rep.DerivedNaiveAligned = dn.Mean()
-		rep.DerivedWindowedAligned = dw.Mean()
-		rep.DerivedCorrectedAligned = dc.Mean()
 	}
+	errs, err := alignAll(jobs, band, s.cfg.WithDefaults().Workers)
+	if err != nil {
+		return nil, err
+	}
+
+	// Reduce in queue order, so the report does not depend on the worker
+	// count.
+	ne := len(tr.Series)
+	rep.NaiveAligned = runningMean(errs[:ne])
+	rep.WindowedAligned = runningMean(errs[ne : 2*ne])
+	rep.CorrectedAligned = runningMean(errs[2*ne : 3*ne])
+	rep.CorrTotalsErr = totalsErr(tr, res.Corrected)
+	if !s.derived {
+		return rep, nil
+	}
+	errs = errs[3*ne:]
+	rep.DerivedStream = make([]DerivedStreamReport, 0, len(cat.Derived))
+	var dn, dw, dc stats.Running
+	for di := range cat.Derived {
+		row := DerivedStreamReport{
+			Name:             cat.Derived[di].Name,
+			NaiveAligned:     errs[3*di],
+			WindowedAligned:  errs[3*di+1],
+			CorrectedAligned: errs[3*di+2],
+		}
+		var stds stats.Running
+		for _, v := range res.DerivedCorrectedStd[di] {
+			stds.Add(v)
+		}
+		row.MeanPostStd = stds.Mean()
+		row.MinPostStd = stds.Min()
+		rep.DerivedStream = append(rep.DerivedStream, row)
+		dn.Add(row.NaiveAligned)
+		dw.Add(row.WindowedAligned)
+		dc.Add(row.CorrectedAligned)
+	}
+	rep.DerivedNaiveAligned = dn.Mean()
+	rep.DerivedWindowedAligned = dw.Mean()
+	rep.DerivedCorrectedAligned = dc.Mean()
 	return rep, nil
 }
 
-// alignedMean computes the mean DTW-aligned relative error of the target
-// series against the ground truth, over all events.
-func alignedMean(tr *Trace, target []timeseries.Series, band int) (float64, error) {
-	var errs stats.Running
-	for id := range tr.Series {
-		e, err := timeseries.AlignedRelError(tr.Series[id], target[id], band, eventRelErrFloor)
-		if err != nil {
-			return 0, err
-		}
-		errs.Add(e)
+// alignment is one DTW-aligned relative error the stream report needs:
+// a ground-truth series against an estimate, under a relative-error floor.
+type alignment struct {
+	ref, target timeseries.Series
+	floor       float64
+}
+
+// alignAll computes every job's aligned error under the given band on up
+// to workers goroutines, each result in the job's own slot. Each goroutine
+// owns one Aligner, so a report holds exactly that many band buffers
+// whatever the scheduling, and drops them when it returns. It returns the
+// first error in job order.
+func alignAll(jobs []alignment, band, workers int) ([]float64, error) {
+	errs := make([]float64, len(jobs))
+	fails := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var al timeseries.Aligner
+			for k := int(next.Add(1) - 1); k < len(jobs); k = int(next.Add(1) - 1) {
+				j := &jobs[k]
+				errs[k], fails[k] = al.AlignedRelError(j.ref, j.target, band, j.floor)
+			}
+		}()
 	}
-	return errs.Mean(), nil
+	wg.Wait()
+	for _, err := range fails {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return errs, nil
+}
+
+// runningMean is the mean of xs, accumulated in order.
+func runningMean(xs []float64) float64 {
+	var m stats.Running
+	for _, x := range xs {
+		m.Add(x)
+	}
+	return m.Mean()
 }
 
 // totalsErr compares per-event series totals against the true totals.
@@ -285,41 +358,4 @@ func totalsErr(tr *Trace, series []timeseries.Series) float64 {
 		errs.Add(stats.RelErr(series[id].Sum(), truth[id], eventRelErrFloor))
 	}
 	return errs.Mean()
-}
-
-// evalDerivedStream scores the catalog's derived-event series from a
-// finished stream result against the ground-truth trace. The derived
-// definitions come from the session catalog — the one that sized the
-// result's series — not the trace's, which bindCatalog only guarantees to
-// be event-aligned; the truth series gather per-event inputs from the
-// trace, where EventIDs do align.
-func evalDerivedStream(cat *Catalog, tr *Trace, res *stream.Result, band int) ([]DerivedStreamReport, error) {
-	rows := make([]DerivedStreamReport, 0, len(cat.Derived))
-	for di := range cat.Derived {
-		d := &cat.Derived[di]
-		gather := make([]timeseries.Series, len(d.Inputs))
-		for i, id := range d.Inputs {
-			gather[i] = tr.Series[id]
-		}
-		truth := timeseries.Map(d.Eval, gather...)
-		row := DerivedStreamReport{Name: d.Name}
-		var err error
-		if row.NaiveAligned, err = timeseries.AlignedRelError(truth, res.DerivedNaive[di], band, derivedAlignedRelErrFloor); err != nil {
-			return nil, err
-		}
-		if row.WindowedAligned, err = timeseries.AlignedRelError(truth, res.DerivedWindowedRaw[di], band, derivedAlignedRelErrFloor); err != nil {
-			return nil, err
-		}
-		if row.CorrectedAligned, err = timeseries.AlignedRelError(truth, res.DerivedCorrected[di], band, derivedAlignedRelErrFloor); err != nil {
-			return nil, err
-		}
-		var stds stats.Running
-		for _, v := range res.DerivedCorrectedStd[di] {
-			stds.Add(v)
-		}
-		row.MeanPostStd = stds.Mean()
-		row.MinPostStd = stds.Min()
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
