@@ -90,7 +90,7 @@ func (b *Batch) sweepFastVec(n, maxIter int, tol float64) {
 
 	active := b.active[:n]
 	remaining := n
-	nVec := int64((n + 3) / 4)
+	nVec := int64((n + LaneGroup - 1) / LaneGroup)
 	stride8 := int64(B) * 8
 	moved := b.maxDelta[:n]
 	bPrec, bH := b.beliefPrec, b.beliefH

@@ -119,19 +119,26 @@ func (p *Plan) SharesClique(i, j uarch.EventID) bool {
 	return ok
 }
 
+// LaneGroup is the number of lanes the vector kernel processes at once (four
+// float64s per AVX2 register). Batch slab rows are padded to a multiple of
+// it, so a batch of LaneGroup windows runs with no padding lanes: the
+// streaming engine uses it as the smallest batch worth inferring early.
+const LaneGroup = 4
+
 // Batch holds the observations and message-passing state of up to `lanes`
 // independent inference windows over one Plan, in structure-of-arrays
 // layout: quantity q of lane b lives at q*stride+b, so the per-schedule-step
 // inner loops run over contiguous float64 runs. The row stride is the lane
-// count rounded up to a multiple of four, so the vector kernel can always
-// process whole 4-lane groups without crossing into the next row; the
+// count rounded up to a multiple of LaneGroup, so the vector kernel can
+// always process whole lane groups without crossing into the next row; the
 // padding lanes hold zeroes and are never read back. A Batch is reusable
 // (ClearObservations between rounds) and not safe for concurrent use:
 // parallel engines each own one (see internal/stream's worker pool).
 type Batch struct {
 	plan  *Plan
 	lanes int
-	// stride is the slab row stride: lanes rounded up to a multiple of 4.
+	// stride is the slab row stride: lanes rounded up to a multiple of
+	// LaneGroup.
 	stride int
 	// needCov gates clique-covariance extraction (EnableCovariance):
 	// consumers that never read Cov/Corr — the default stream
@@ -182,7 +189,7 @@ func (p *Plan) NewBatch(lanes int) *Batch {
 		panic(fmt.Sprintf("graph: NewBatch with %d lanes", lanes))
 	}
 	nv, ne, nr := p.nv, p.nEdges, p.nRels
-	stride := (lanes + 3) &^ 3
+	stride := (lanes + LaneGroup - 1) &^ (LaneGroup - 1)
 	return &Batch{
 		plan:       p,
 		lanes:      lanes,

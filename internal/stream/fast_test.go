@@ -44,13 +44,13 @@ const fastStreamTol = 1e-6
 // perceive, not bit-level agreement.
 const fastDerivedStdTol = 1e-3
 
-// TestStreamFastMathAccuracy: a streaming run on the host's kernel must
+// TestStreamHostKernelAccuracy: a streaming run on the host's kernel must
 // stitch the same story as the exact kernel on the same trace — every
 // corrected event series (means and stds) within fastStreamTol relative,
 // every derived posterior series within its gate — with covariance-aware
 // derived stds on. On hosts without the vector kernel both runs are exact
 // and agree bit for bit.
-func TestStreamFastMathAccuracy(t *testing.T) {
+func TestStreamHostKernelAccuracy(t *testing.T) {
 	hostVec := vecKernelEnabled
 	for _, arch := range []*uarch.Catalog{uarch.Skylake(), uarch.Power9()} {
 		tr := measure.GroundTruth(arch, measure.DefaultWorkload(60), rng.New(5))
@@ -87,12 +87,12 @@ func TestStreamFastMathAccuracy(t *testing.T) {
 	}
 }
 
-// TestStreamFastMathDeterministic pins the host kernel's streaming
+// TestStreamHostKernelDeterministic pins the host kernel's streaming
 // contract: like the exact kernel (TestStreamDeterministicAcrossBatchSizes),
 // its stitched output is bit-identical for any worker count × batch width
 // (the vector kernel is lane-invariant, so no grouping of windows into
 // Execute calls may leak into the result).
-func TestStreamFastMathDeterministic(t *testing.T) {
+func TestStreamHostKernelDeterministic(t *testing.T) {
 	cat := uarch.Skylake()
 	tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), rng.New(5))
 	var base *Result

@@ -50,11 +50,11 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		intervals: r.Counter("bayesperf_stream_intervals_total",
 			"Interval samples ingested by the streaming engine."),
 		windows: r.Counter("bayesperf_stream_windows_total",
-			"Sliding windows snapshotted and dispatched for inference."),
+			"Sliding windows snapshotted for inference."),
 		batches: r.Counter("bayesperf_stream_batches_total",
-			"Window batches handed to the inference worker pool."),
+			"Window batches inferred, by the pool or the producer."),
 		fillRatio: r.Histogram("bayesperf_stream_batch_fill_ratio",
-			"Fraction of a dispatched batch's lanes actually filled with windows (partial batches come from Flush/Finish).",
+			"Fraction of an inferred batch's lanes actually filled with windows (partial batches come from Flush/Finish and the producer's early lane groups).",
 			obs.RatioBuckets()),
 		gumbel: r.Counter("bayesperf_stream_gumbel_rejected_total",
 			"Window readings rejected by the Gumbel outlier filter at snapshot time."),

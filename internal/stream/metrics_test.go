@@ -15,6 +15,8 @@ import (
 // checks the recorded instrumentation is internally consistent: counters
 // agree with the Result, the batch fill ratio stays in (0, 1], stage
 // latencies accumulated real time, and unconverged never exceeds windows.
+// An adaptive run, whose windows are inferred on the producer, must count
+// those batches like the pool's.
 func TestStreamMetricsEndToEnd(t *testing.T) {
 	cat := uarch.Skylake()
 	tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), rng.New(3))
@@ -87,6 +89,32 @@ func TestStreamMetricsEndToEnd(t *testing.T) {
 	infer := snap.Find("bayesperf_stream_stage_seconds", obs.Label{Key: "stage", Value: "infer"})
 	if infer == nil || infer.Count == 0 || infer.Sum <= 0 {
 		t.Fatal("infer stage histogram missing, empty, or zero-time")
+	}
+
+	reg = obs.NewRegistry()
+	cfg.Metrics = reg
+	res = RunTrace(tr, measure.NewAdaptive(cat, cfg.Window), cfg, rng.New(5))
+	snap = reg.Snapshot()
+	if res.Reprioritizations == 0 {
+		t.Fatal("adaptive run never re-prioritized")
+	}
+	windows := counter("bayesperf_stream_windows_total")
+	if graphWindows := counter("bayesperf_graph_windows_total"); windows != uint64(res.Windows) || graphWindows != windows {
+		t.Errorf("adaptive: stream windows %d, graph windows %d, want both %d", windows, graphWindows, res.Windows)
+	}
+	batches := counter("bayesperf_stream_batches_total")
+	if batches == 0 {
+		t.Fatal("adaptive: no batches counted")
+	}
+	fill = snap.Find("bayesperf_stream_batch_fill_ratio")
+	infer = snap.Find("bayesperf_stream_stage_seconds", obs.Label{Key: "stage", Value: "infer"})
+	if fill == nil || fill.Count != batches || infer == nil || infer.Count != batches {
+		t.Errorf("adaptive: fill ratio %+v and infer stage %+v, want %d observations each", fill, infer, batches)
+	}
+	// Fill ratios are lanes/8, exact in binary: their sum times the batch
+	// width is the number of windows inferred.
+	if fill != nil && fill.Sum*float64(cfg.Batch) != float64(res.Windows) {
+		t.Errorf("adaptive: fill ratios cover %v windows, want %d", fill.Sum*float64(cfg.Batch), res.Windows)
 	}
 }
 

@@ -6,8 +6,10 @@
 // The engine slides a Window accumulator over the stream; every hop it
 // snapshots the window's observations (scaled totals plus incrementally
 // re-derived Student-t stds) and fans the snapshot out to a pool of
-// workers, each owning one reusable graph.Batch EP engine. Posteriors come
-// back asynchronously, are re-ordered, and overlapping windows are stitched
+// workers, each owning one reusable graph.Batch EP engine. Windows the
+// producer is about to wait for anyway (at Flush and Finish, and ahead of
+// the epoch boundary on adaptive runs) are inferred on the producer
+// instead. Posteriors are re-ordered and overlapping windows are stitched
 // into one corrected trace by precision weighting. The posterior
 // uncertainty also closes the measurement loop: a
 // measure.AdaptiveScheduler fed the epoch-averaged posterior
@@ -194,11 +196,20 @@ type Engine struct {
 	pending     int
 
 	// Snapshotted windows accumulate here until a full batch (cfg.Batch)
-	// is ready to dispatch; Flush and Finish dispatch partial batches.
+	// is ready to dispatch; Flush and Finish infer partial batches on the
+	// producer.
 	jobBuf  []windowJob
 	jobs    chan []windowJob
 	results chan WindowPosterior
 	wg      sync.WaitGroup
+
+	// inferAhead is set by Run on adaptive runs, whose every epoch ends in
+	// a Flush: the producer then infers each graph.LaneGroup of buffered
+	// windows as soon as it fills, so only the epoch's last partial group
+	// is left for the decision path. producer is the producing goroutine's
+	// inference state over the shared plan, built on first use.
+	inferAhead bool
+	producer   *inferState
 
 	// Tracked posterior-correlation pairs (Config.Covariance): the derived
 	// formulas' input pairs that share a relation clique. derivedPairs maps
@@ -235,7 +246,7 @@ type Engine struct {
 	firstT  []int // first interval each event was counted (-1 if never)
 
 	postRelStd  stats.Running
-	workerIters []stats.Running
+	workerIters []stats.Running // per pool worker; the producer's are in producer.iters
 	converged   bool
 	unconverged int
 	totalSweeps int
@@ -372,51 +383,79 @@ func (e *Engine) buildCovPairs() {
 	}
 }
 
-// worker is one EP engine: it owns one batch over the engine's shared
-// compiled plan, re-observes its lanes per dispatched batch of windows,
-// and executes them in a single schedule walk. The steady state allocates
-// only the posteriors it ships back.
-func (e *Engine) worker(wi int) {
-	defer e.wg.Done()
+// inferState is one goroutine's EP engine: a batch over the engine's
+// shared compiled plan, the result slabs it reuses across batches, and the
+// per-window sweep counts it has run.
+type inferState struct {
+	batch *graph.Batch
+	br    *graph.BatchResult
+	iters stats.Running
+}
+
+// newInferState builds one EP engine's state over the shared plan.
+func (e *Engine) newInferState() *inferState {
 	batch := e.plan.NewBatch(e.cfg.Batch)
 	batch.SetMetrics(e.gm)
 	if len(e.covPairs) > 0 {
 		batch.EnableCovariance()
 	}
-	var iters stats.Running
-	var br *graph.BatchResult // reused across batches; Window copies lanes out
-	for jobs := range e.jobs {
-		batch.ClearObservations()
-		for lane, job := range jobs {
-			for id, ok := range job.observed {
-				if ok {
-					batch.Observe(lane, uarch.EventID(id), job.obsMean[id], job.obsStd[id])
-				}
-			}
-		}
-		sp := obs.StartSpan(e.m.stInfer)
-		br = batch.ExecuteInto(br, len(jobs), e.cfg.MaxIter, e.cfg.Tol)
-		sp.End()
-		for lane, job := range jobs {
-			res := br.Window(lane)
-			iters.Add(float64(res.Iters))
-			var rho []float64
-			if len(e.covPairs) > 0 {
-				rho = make([]float64, len(e.covPairs))
-				for pi, p := range e.covPairs {
-					rho[pi] = res.Corr(p.a, p.b)
-				}
-			}
-			e.results <- WindowPosterior{
-				Index: job.index, Start: job.start, End: job.end,
-				Mean: res.Mean, Std: res.Std,
-				ObsStd: job.obsStd, Disp: job.disp, Observed: job.observed,
-				Rho:   rho,
-				Iters: res.Iters, Converged: res.Converged,
+	return &inferState{batch: batch}
+}
+
+// infer re-observes st's lanes with one batch of windows, executes them in
+// a single schedule walk, and hands each window's posterior to out in lane
+// order. Each posterior's mean and std share one allocation, and only the
+// tracked correlations are read from the covariance slab, so the steady
+// state allocates only what out retains.
+func (e *Engine) infer(st *inferState, jobs []windowJob, out func(WindowPosterior)) {
+	batch := st.batch
+	batch.ClearObservations()
+	for lane, job := range jobs {
+		for id, ok := range job.observed {
+			if ok {
+				batch.Observe(lane, uarch.EventID(id), job.obsMean[id], job.obsStd[id])
 			}
 		}
 	}
-	e.workerIters[wi] = iters
+	sp := obs.StartSpan(e.m.stInfer)
+	st.br = batch.ExecuteInto(st.br, len(jobs), e.cfg.MaxIter, e.cfg.Tol)
+	sp.End()
+	br, n, nv := st.br, len(jobs), len(e.naive)
+	for lane, job := range jobs {
+		ms := make([]float64, 2*nv)
+		mean, std := ms[:nv:nv], ms[nv:]
+		for id := range mean {
+			mean[id] = br.Mean[id*n+lane]
+			std[id] = br.Std[id*n+lane]
+		}
+		var rho []float64
+		if len(e.covPairs) > 0 {
+			rho = make([]float64, len(e.covPairs))
+			for pi, p := range e.covPairs {
+				rho[pi] = br.Corr(lane, p.a, p.b)
+			}
+		}
+		st.iters.Add(float64(br.Iters[lane]))
+		out(WindowPosterior{
+			Index: job.index, Start: job.start, End: job.end,
+			Mean: mean, Std: std,
+			ObsStd: job.obsStd, Disp: job.disp, Observed: job.observed,
+			Rho:   rho,
+			Iters: br.Iters[lane], Converged: br.Converged[lane],
+		})
+	}
+}
+
+// worker is one pool EP engine: it infers each dispatched batch and ships
+// the posteriors back to the producer.
+func (e *Engine) worker(wi int) {
+	defer e.wg.Done()
+	st := e.newInferState()
+	send := func(r WindowPosterior) { e.results <- r }
+	for jobs := range e.jobs {
+		e.infer(st, jobs, send)
+	}
+	e.workerIters[wi] = st.iters
 }
 
 // Ingest feeds one interval into the window; at hop boundaries the window
@@ -499,8 +538,9 @@ func (e *Engine) Ingest(s measure.IntervalSample) {
 	}
 }
 
-// emit snapshots the current window into the batch buffer; a full buffer
-// (cfg.Batch windows) is dispatched to the pool as one batched job.
+// emit snapshots the current window into the batch buffer. A full buffer
+// (cfg.Batch windows) is dispatched to the pool as one batched job; with
+// inferAhead, a full lane group is inferred on the producer instead.
 func (e *Engine) emit() {
 	// Per-window spans are sampled 1-in-8 like the per-interval ingest span:
 	// snapshot latency is uniform across windows and the clock reads would
@@ -520,17 +560,33 @@ func (e *Engine) emit() {
 	e.pending++
 	e.lastEmitEnd = job.end
 	e.jobBuf = append(e.jobBuf, job)
-	if len(e.jobBuf) == e.cfg.Batch {
+	switch {
+	case e.inferAhead && len(e.jobBuf) == min(graph.LaneGroup, e.cfg.Batch):
+		e.inferBuffered()
+	case len(e.jobBuf) == e.cfg.Batch:
 		e.dispatch()
 	}
 }
 
-// dispatch hands the buffered windows (a full or partial batch) to the
-// pool, absorbing finished posteriors whenever the job queue pushes back.
-func (e *Engine) dispatch() {
+// inferBuffered infers the buffered windows on the producer and stitches
+// them as far as the windows still in flight on the pool allow. The
+// buffer is reused: nothing else holds it.
+func (e *Engine) inferBuffered() {
 	if len(e.jobBuf) == 0 {
 		return
 	}
+	if e.producer == nil {
+		e.producer = e.newInferState()
+	}
+	e.m.batches.Inc()
+	e.m.fillRatio.Observe(float64(len(e.jobBuf)) / float64(e.cfg.Batch))
+	e.infer(e.producer, e.jobBuf, e.absorb)
+	e.jobBuf = e.jobBuf[:0]
+}
+
+// dispatch hands the full batch of buffered windows to the pool,
+// absorbing finished posteriors whenever the job queue pushes back.
+func (e *Engine) dispatch() {
 	jobs := e.jobBuf
 	e.jobBuf = make([]windowJob, 0, e.cfg.Batch)
 	e.m.batches.Inc()
@@ -570,13 +626,14 @@ func (e *Engine) absorb(r WindowPosterior) {
 	}
 }
 
-// Flush dispatches any partially filled batch and blocks until every
+// Flush infers any partially filled batch on the calling goroutine (it
+// would only wait for a worker to do the same), then blocks until every
 // emitted window's posterior has been stitched. Call it at epoch
 // boundaries before reading EpochPosterior, so the scheduler feedback does
 // not depend on worker timing (or on where the epoch falls within a
 // batch).
 func (e *Engine) Flush() {
-	e.dispatch()
+	e.inferBuffered()
 	for e.pending > 0 {
 		e.absorb(<-e.results)
 	}
@@ -736,9 +793,8 @@ func (e *Engine) Finish() *Result {
 	if e.ingested > 0 && e.lastEmitEnd < e.ingested {
 		e.emit()
 	}
-	e.dispatch()
-	close(e.jobs)
 	e.Flush()
+	close(e.jobs)
 	e.wg.Wait()
 	sp := obs.StartSpan(e.m.stReport)
 	defer sp.End()
@@ -758,6 +814,9 @@ func (e *Engine) Finish() *Result {
 	}
 	for _, wi := range e.workerIters {
 		res.InferIters.Merge(wi)
+	}
+	if e.producer != nil {
+		res.InferIters.Merge(e.producer.iters)
 	}
 	for id := 0; id < ne; id++ {
 		corr := make(timeseries.Series, e.ingested)
@@ -898,6 +957,7 @@ type IntervalSource interface {
 func Run(cat *uarch.Catalog, src IntervalSource, sched measure.Scheduler, cfg Config) *Result {
 	e := NewEngine(cat, cfg)
 	ad, adaptive := sched.(*measure.AdaptiveScheduler)
+	e.inferAhead = adaptive
 	var sm measure.SchedMetrics
 	var prevMoves int
 	if adaptive {

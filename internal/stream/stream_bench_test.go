@@ -9,6 +9,7 @@ import (
 	"bayesperf/internal/measure"
 	"bayesperf/internal/obs"
 	"bayesperf/internal/rng"
+	"bayesperf/internal/stats"
 	"bayesperf/internal/uarch"
 )
 
@@ -78,6 +79,57 @@ func BenchmarkStreamBatched(b *testing.B) {
 	// instrumentation overhead (the registry is created outside the timed
 	// region, as a real deployment would).
 	b.Run("batch=8/obs", run(8, obs.NewRegistry()))
+}
+
+// BenchmarkStreamDecision times the adaptive engine's decision path on the
+// zen JSON catalog with covariance on: per epoch boundary, the Ingest of
+// the interval that ends the epoch, the Flush, EpochPosterior and the
+// scheduler's Reprioritize. It drives the Engine directly, as Run does on
+// adaptive runs, and reports the median decision as us/decision; the
+// trace is generated outside the timer.
+func BenchmarkStreamDecision(b *testing.B) {
+	spec, err := uarch.LoadSpecFile("../../examples/catalogs/zen.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat, err := spec.Catalog()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := measure.GroundTruth(cat, measure.DefaultWorkload(400), rng.New(1))
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.Covariance = true
+	cfg.SizeHint = tr.Intervals()
+	var decisions []float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ad := measure.NewAdaptive(cat, cfg.Window)
+		src := measure.NewSampler(tr, cfg.Mux, ad, rng.New(2))
+		e := NewEngine(cat, cfg)
+		e.inferAhead = true
+		for t := 1; ; t++ {
+			s, ok := src.Next()
+			if !ok {
+				break
+			}
+			if t%ad.EpochLen() != 0 {
+				e.Ingest(s)
+				continue
+			}
+			start := time.Now()
+			e.Ingest(s)
+			e.Flush()
+			if mean, std, obsStd, ok := e.EpochPosterior(); ok {
+				ad.Reprioritize(mean, std, obsStd)
+			}
+			decisions = append(decisions, float64(time.Since(start).Nanoseconds())/1e3)
+		}
+		e.Finish()
+	}
+	b.StopTimer()
+	b.ReportMetric(stats.Median(decisions), "us/decision")
 }
 
 // TestStreamParallelSpeedup pins the worker pool's reason to exist (and

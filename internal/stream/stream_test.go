@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -283,7 +284,7 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 // the stitched output — every event series, the pooled uncertainty metric,
 // and the derived posterior series (covariance-aware included) — must be
 // bit-identical for any batch width × worker count, under the exact
-// kernel (TestStreamFastMathDeterministic holds the host's kernel to the
+// kernel (TestStreamHostKernelDeterministic holds the host's kernel to the
 // same contract). Batch lanes run independent arithmetic and stitching is
 // forced into window-index order, so no grouping of windows into Execute
 // calls may leak into the result.
@@ -348,6 +349,91 @@ func TestStreamDeterministicAcrossBatchSizes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStreamAdaptiveDeterministic holds the adaptive feedback loop to the
+// contract of the round-robin determinism tests: every stitched series,
+// the pooled uncertainty metric and the replan count must be bit-identical
+// for any worker count × batch width, under the exact kernel and under the
+// host's. Adaptive runs infer on the producer — a lane group at a time
+// ahead of each epoch boundary, the remainder at Flush — so this is the
+// test that covers that path. Every run must also count each window's
+// sweeps exactly once in InferIters, the producer's included.
+func TestStreamAdaptiveDeterministic(t *testing.T) {
+	spec, err := uarch.LoadSpecFile("../../examples/catalogs/zen.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zen, err := spec.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kernel := range []string{"exact", "host"} {
+		t.Run(kernel, func(t *testing.T) {
+			if kernel == "exact" {
+				forceExactKernel(t)
+			}
+			for _, cat := range []*uarch.Catalog{zen, uarch.Skylake()} {
+				tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), rng.New(5))
+				for _, covariance := range []bool{false, true} {
+					var base *Result
+					var baseLabel string
+					for _, batch := range []int{1, 3, 8, 64} {
+						for _, workers := range []int{1, 4} {
+							cfg := testConfig(workers)
+							cfg.Batch = batch
+							cfg.Covariance = covariance
+							label := fmt.Sprintf("%s cov=%v batch=%d workers=%d", cat.Arch, covariance, batch, workers)
+							res := RunTrace(tr, measure.NewAdaptive(cat, cfg.Window), cfg, rng.New(6))
+							if n := res.InferIters.N(); n != int64(res.Windows) {
+								t.Fatalf("%s: InferIters counts %d windows, want %d", label, n, res.Windows)
+							}
+							if base == nil {
+								if res.Reprioritizations == 0 {
+									t.Fatalf("%s: adaptive loop never re-prioritized", label)
+								}
+								base, baseLabel = res, label
+								continue
+							}
+							if res.Windows != base.Windows || res.Intervals != base.Intervals {
+								t.Fatalf("%s: shape %d/%d vs %s %d/%d", label,
+									res.Windows, res.Intervals, baseLabel, base.Windows, base.Intervals)
+							}
+							for _, pair := range []struct {
+								name string
+								a, b []timeseries.Series
+							}{
+								{"corrected", res.Corrected, base.Corrected},
+								{"correctedStd", res.CorrectedStd, base.CorrectedStd},
+								{"windowedRaw", res.WindowedRaw, base.WindowedRaw},
+								{"naiveRaw", res.NaiveRaw, base.NaiveRaw},
+								{"derivedCorrected", res.DerivedCorrected, base.DerivedCorrected},
+								{"derivedCorrectedStd", res.DerivedCorrectedStd, base.DerivedCorrectedStd},
+								{"derivedWindowedRaw", res.DerivedWindowedRaw, base.DerivedWindowedRaw},
+								{"derivedNaive", res.DerivedNaive, base.DerivedNaive},
+							} {
+								for id := range pair.b {
+									for ti := range pair.b[id] {
+										if math.Float64bits(pair.a[id][ti]) != math.Float64bits(pair.b[id][ti]) {
+											t.Fatalf("%s: %s[%d][%d] = %v, want %v (%s)",
+												label, pair.name, id, ti, pair.a[id][ti], pair.b[id][ti], baseLabel)
+										}
+									}
+								}
+							}
+							if res.PostRelStd != base.PostRelStd {
+								t.Errorf("%s: posterior-std pool diverged from %s", label, baseLabel)
+							}
+							if res.Reprioritizations != base.Reprioritizations {
+								t.Errorf("%s: %d reprioritizations, %s had %d", label,
+									res.Reprioritizations, baseLabel, base.Reprioritizations)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
