@@ -185,12 +185,6 @@ func (r *BatchResult) Corr(lane int, i, j uarch.EventID) float64 {
 // invariant contribute no cross term, so on a catalog whose derived inputs
 // are uncoupled this reduces bit-for-bit to the diagonal DerivedPosterior.
 func (r *Result) DerivedPosteriorCov(d *uarch.Derived) (mean, std float64) {
-	in := make([]float64, len(d.Inputs))
-	sd := make([]float64, len(d.Inputs))
-	for i, id := range d.Inputs {
-		in[i] = r.Mean[id]
-		sd[i] = r.Std[id]
-	}
 	corr := func(i, j int) float64 { return r.Corr(d.Inputs[i], d.Inputs[j]) }
-	return d.Eval(in), d.PropagateStdCov(in, sd, corr)
+	return d.PosteriorFrom(r.Mean, r.Std, corr)
 }

@@ -80,9 +80,9 @@ func (r *Result) Posterior(id uarch.EventID) (mean, std float64) {
 // DerivedPosterior propagates the posterior through a derived-event
 // formula (§2 "Errors in Derived Events"): the mean is the formula
 // evaluated at the posterior mean, and the std is the first-order delta
-// method over the posterior marginals (uarch.Derived.PropagateStd),
-// treating the inputs as independent. DerivedPosteriorCov is the
-// covariance-aware version.
+// method over the posterior marginals (uarch.Derived.PropagateStdCov with
+// a nil corr), treating the inputs as independent. DerivedPosteriorCov is
+// the covariance-aware version.
 func (r *Result) DerivedPosterior(d *uarch.Derived) (mean, std float64) {
-	return d.PosteriorFrom(r.Mean, r.Std)
+	return d.PosteriorFrom(r.Mean, r.Std, nil)
 }

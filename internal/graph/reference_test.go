@@ -146,7 +146,7 @@ func (g *refGraph) refInfer(maxIter int, tol float64) Result {
 }
 
 // identityCatalogs returns every catalog the bit-identity contract is
-// asserted on: both builder catalogs plus the JSON specs shipped under
+// asserted on: both built-in catalogs plus the example specs shipped under
 // examples/catalogs.
 func identityCatalogs(t *testing.T) []*uarch.Catalog {
 	t.Helper()
@@ -181,8 +181,8 @@ func observeRound(cat *uarch.Catalog, r *rng.Rand, observe func(id uarch.EventID
 // TestInferBitIdenticalToReference is the acceptance criterion of the
 // compile/execute refactor: the exact kernel on a one-lane batch
 // reproduces the legacy implementation's posteriors bit for bit — Mean,
-// Std, Iters and Converged — on both builder catalogs and both shipped
-// JSON catalogs, across observed subsets and inference budgets (including
+// Std, Iters and Converged — on both built-in catalogs and both example
+// catalogs, across observed subsets and inference budgets (including
 // budgets too small to converge).
 func TestInferBitIdenticalToReference(t *testing.T) {
 	forceExact(t)

@@ -162,8 +162,8 @@ func drawPrimitives(p Phase, r *rng.Rand) primitives {
 
 // primOrder is the canonical evaluation order of the machine primitives.
 // Model sums accumulate in this order — never in map order — so a
-// multi-primitive event's value is deterministic and a spec-loaded catalog
-// reproduces the builder catalog's ground truth bit for bit.
+// multi-primitive event's value is deterministic and two catalogs built
+// from the same spec produce the same ground truth bit for bit.
 var primOrder = []string{
 	"inst", "cycles", "ref_cycles", "pend_cycles",
 	"loads", "stores", "branches", "misp", "other",

@@ -152,41 +152,7 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // --- Gaussian ---
-
-// NormalPDF returns the density of N(mean, std²) at x.
-func NormalPDF(x, mean, std float64) float64 {
-	if std <= 0 {
-		if x == mean { //bayesvet:bitwise degenerate zero-variance point mass: density is exactly at the mean or nowhere
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - mean) / std
-	return math.Exp(-0.5*z*z) / (std * math.Sqrt(2*math.Pi))
-}
-
-// NormalLogPDF returns the log density of N(mean, std²) at x. Degenerate
-// std <= 0 mirrors NormalPDF: log of a point mass at mean (+Inf at x ==
-// mean, -Inf elsewhere) instead of NaN/±Inf garbage from the division.
-func NormalLogPDF(x, mean, std float64) float64 {
-	if std <= 0 {
-		if x == mean { //bayesvet:bitwise degenerate zero-variance point mass: density is exactly at the mean or nowhere
-			return math.Inf(1)
-		}
-		return math.Inf(-1)
-	}
-	z := (x - mean) / std
-	return -0.5*z*z - math.Log(std) - 0.5*math.Log(2*math.Pi)
-}
-
-// NormalCDF returns P(X ≤ x) for X ~ N(mean, std²).
-func NormalCDF(x, mean, std float64) float64 {
-	return 0.5 * math.Erfc(-(x-mean)/(std*math.Sqrt2))
-}
 
 // NormalQuantile returns the q-quantile of the standard Gaussian using the
 // Acklam rational approximation (|relative error| < 1.15e-9), refined with
@@ -239,18 +205,6 @@ func NormalQuantile(q float64) float64 {
 // The paper (§4.2) models the marginal of an event's unknown true mean,
 // after marginalizing the unknown variance, as a scaled/shifted Student-t:
 // v_c ~ μ + S/√N · Student(ν = N−1), with the confidence level set to 95%.
-
-// StudentTPDF returns the density of the standard Student-t with nu degrees
-// of freedom at x.
-func StudentTPDF(x, nu float64) float64 {
-	if nu <= 0 {
-		return 0
-	}
-	lg1, _ := math.Lgamma((nu + 1) / 2)
-	lg2, _ := math.Lgamma(nu / 2)
-	logc := lg1 - lg2 - 0.5*math.Log(nu*math.Pi)
-	return math.Exp(logc - (nu+1)/2*math.Log(1+x*x/nu))
-}
 
 // StudentTCDF returns P(T ≤ x) for a standard Student-t with nu degrees of
 // freedom, via the regularized incomplete beta function.
@@ -306,11 +260,6 @@ func StudentTStdFactor(nu float64) float64 {
 // CounterMiner (Lv et al., MICRO'18) detects outlier HPC samples with a
 // Gumbel test: the maximum of n i.i.d. samples follows a Gumbel law, so a
 // sample exceeding a high Gumbel quantile is flagged as an outlier.
-
-// GumbelCDF returns the CDF of the Gumbel(mu, beta) distribution at x.
-func GumbelCDF(x, mu, beta float64) float64 {
-	return math.Exp(-math.Exp(-(x - mu) / beta))
-}
 
 // GumbelQuantile returns the q-quantile of Gumbel(mu, beta).
 func GumbelQuantile(q, mu, beta float64) float64 {
@@ -461,17 +410,6 @@ func betacf(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // RelErr returns |got−want| / max(|want|, floor): the relative error metric

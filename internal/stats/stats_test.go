@@ -10,6 +10,18 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// NormalCDF returns P(X ≤ x) for X ~ N(mean, std²): the oracle for the
+// NormalQuantile and StudentTCDF tests.
+func NormalCDF(x, mean, std float64) float64 {
+	return 0.5 * math.Erfc(-(x-mean)/(std*math.Sqrt2))
+}
+
+// GumbelCDF returns the CDF of the Gumbel(mu, beta) distribution at x: the
+// oracle for the GumbelQuantile round trip.
+func GumbelCDF(x, mu, beta float64) float64 {
+	return math.Exp(-math.Exp(-(x - mu) / beta))
+}
+
 func TestRunningMatchesBatch(t *testing.T) {
 	r := rng.New(1)
 	xs := make([]float64, 500)
@@ -123,8 +135,8 @@ func TestQuantileNaN(t *testing.T) {
 }
 
 func TestMedianInterpolates(t *testing.T) {
-	if got := Median([]float64{1, 2, 3, 4}); !almostEq(got, 2.5, 1e-12) {
-		t.Errorf("Median = %v, want 2.5", got)
+	if got := Quantile([]float64{4, 1, 3, 2}, 0.5); !almostEq(got, 2.5, 1e-12) {
+		t.Errorf("Quantile(0.5) = %v, want 2.5", got)
 	}
 }
 
@@ -144,36 +156,6 @@ func TestNormalQuantileKnownValues(t *testing.T) {
 	}
 	if got := NormalQuantile(0.5); !almostEq(got, 0, 1e-9) {
 		t.Errorf("z(0.5) = %v, want 0", got)
-	}
-}
-
-func TestNormalPDFIntegratesToOne(t *testing.T) {
-	var sum float64
-	const dx = 0.001
-	for x := -10.0; x < 10; x += dx {
-		sum += NormalPDF(x, 0, 1) * dx
-	}
-	if !almostEq(sum, 1, 1e-3) {
-		t.Errorf("∫pdf = %v, want 1", sum)
-	}
-}
-
-func TestNormalLogPDFConsistent(t *testing.T) {
-	for _, x := range []float64{-3, -0.5, 0, 1.7, 4} {
-		if !almostEq(math.Exp(NormalLogPDF(x, 1, 2)), NormalPDF(x, 1, 2), 1e-12) {
-			t.Errorf("logpdf inconsistent at %v", x)
-		}
-	}
-}
-
-func TestNormalLogPDFDegenerateStd(t *testing.T) {
-	for _, std := range []float64{0, -1} {
-		if got := NormalLogPDF(2, 2, std); !math.IsInf(got, 1) {
-			t.Errorf("NormalLogPDF(x==mean, std=%v) = %v, want +Inf", std, got)
-		}
-		if got := NormalLogPDF(3, 2, std); !math.IsInf(got, -1) {
-			t.Errorf("NormalLogPDF(x!=mean, std=%v) = %v, want -Inf", std, got)
-		}
 	}
 }
 
@@ -207,17 +189,6 @@ func TestStudentTQuantileKnown(t *testing.T) {
 	// Heavier tails than the Gaussian for small ν.
 	if StudentTQuantile(0.975, 3) <= NormalQuantile(0.975) {
 		t.Error("t(3) should have heavier tails than the Gaussian")
-	}
-}
-
-func TestStudentTPDFIntegratesToOne(t *testing.T) {
-	var sum float64
-	const dx = 0.01
-	for x := -60.0; x < 60; x += dx {
-		sum += StudentTPDF(x, 3) * dx
-	}
-	if !almostEq(sum, 1, 2e-3) {
-		t.Errorf("∫t3 pdf = %v, want 1", sum)
 	}
 }
 
@@ -349,12 +320,6 @@ func TestRegIncBetaBounds(t *testing.T) {
 	// Symmetry: I_x(a,b) = 1 − I_{1−x}(b,a).
 	if got := RegIncBeta(2.5, 4, 0.3) + RegIncBeta(4, 2.5, 0.7); !almostEq(got, 1, 1e-10) {
 		t.Errorf("symmetry violated: %v", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp wrong")
 	}
 }
 

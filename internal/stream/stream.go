@@ -868,15 +868,15 @@ func (e *Engine) stitchDerived(res *Result) {
 	rhoBar := e.stitchedRho()
 	for di := range e.cat.Derived {
 		d := &e.cat.Derived[di]
-		in := make([]float64, len(d.Inputs))
-		sd := make([]float64, len(d.Inputs))
+		k := len(d.Inputs)
+		buf := make([]float64, 3*k)
+		in, sd, grad := buf[:k], buf[k:2*k], buf[2*k:]
 		corr := make(timeseries.Series, e.ingested)
 		cstd := make(timeseries.Series, e.ingested)
 		// Covariance-aware propagation: resolve this formula's tracked
 		// pairs once, then hand PropagateStdCov a lookup over the current
 		// interval's stitched correlations. A formula with no coupled
-		// pairs keeps corrFn nil, which PropagateStdCov reduces to the
-		// diagonal PropagateStd bit for bit.
+		// pairs keeps corrFn nil: independent inputs.
 		var corrFn func(i, j int) float64
 		tt := 0 // the interval corrFn reads; advanced by the loop below
 		if len(e.derivedPairs) > 0 && len(e.derivedPairs[di]) > 0 {
@@ -898,7 +898,7 @@ func (e *Engine) stitchDerived(res *Result) {
 			}
 			tt = t
 			corr[t] = d.Eval(in)
-			cstd[t] = d.PropagateStdCov(in, sd, corrFn)
+			cstd[t] = d.PropagateStdCov(in, sd, grad, corrFn)
 		}
 		res.DerivedCorrected[di] = corr
 		res.DerivedCorrectedStd[di] = cstd

@@ -129,7 +129,7 @@ func BenchmarkStreamDecision(b *testing.B) {
 		e.Finish()
 	}
 	b.StopTimer()
-	b.ReportMetric(stats.Median(decisions), "us/decision")
+	b.ReportMetric(stats.Quantile(decisions, 0.5), "us/decision")
 }
 
 // TestStreamParallelSpeedup pins the worker pool's reason to exist (and

@@ -26,7 +26,7 @@ func testConfig(workers int) Config {
 func trueRates(tr *measure.Trace) []timeseries.Series {
 	out := make([]timeseries.Series, len(tr.Series))
 	for id, s := range tr.Series {
-		out[id] = s.Clone()
+		out[id] = append(timeseries.Series(nil), s...)
 	}
 	return out
 }

@@ -15,9 +15,6 @@ import (
 // interval) for one event.
 type Series []float64
 
-// Clone returns a copy of the series.
-func (s Series) Clone() Series { return append(Series(nil), s...) }
-
 // Sum returns the total of the series.
 func (s Series) Sum() float64 {
 	var t float64
@@ -33,35 +30,6 @@ func (s Series) Mean() float64 {
 		return 0
 	}
 	return s.Sum() / float64(len(s))
-}
-
-// Scale multiplies every point by k, in place, returning s.
-func (s Series) Scale(k float64) Series {
-	for i := range s {
-		s[i] *= k
-	}
-	return s
-}
-
-// Downsample aggregates the series into buckets of the given width by
-// summation (counts accumulate). The last partial bucket is kept.
-func (s Series) Downsample(width int) Series {
-	if width <= 1 {
-		return s.Clone()
-	}
-	out := make(Series, 0, (len(s)+width-1)/width)
-	for i := 0; i < len(s); i += width {
-		end := i + width
-		if end > len(s) {
-			end = len(s)
-		}
-		var sum float64
-		for _, v := range s[i:end] {
-			sum += v
-		}
-		out = append(out, sum)
-	}
-	return out
 }
 
 // Map evaluates fn pointwise across the input series — the shape of a
@@ -297,26 +265,4 @@ func NormalizedError(raw, base float64) float64 {
 		return 0
 	}
 	return e
-}
-
-// MAPE returns the index-aligned mean absolute percentage error between two
-// equal-length series. It is the cheap metric used inside tight loops (the
-// full DTW metric is used for reported results).
-func MAPE(ref, target Series, floor float64) float64 {
-	n := len(ref)
-	if len(target) < n {
-		n = len(target)
-	}
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		den := math.Abs(ref[i])
-		if den < floor {
-			den = floor
-		}
-		sum += math.Abs(target[i]-ref[i]) / den
-	}
-	return sum / float64(n)
 }

@@ -15,37 +15,8 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Sum() != 10 || s.Mean() != 2.5 {
 		t.Errorf("sum/mean = %v/%v", s.Sum(), s.Mean())
 	}
-	c := s.Clone()
-	c[0] = 99
-	if s[0] != 1 {
-		t.Error("Clone aliased the backing array")
-	}
-	s.Scale(2)
-	if s[3] != 8 {
-		t.Errorf("Scale: %v", s)
-	}
 	if (Series{}).Mean() != 0 {
 		t.Error("empty mean must be 0")
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	s := Series{1, 1, 2, 2, 3}
-	got := s.Downsample(2)
-	want := Series{2, 4, 3}
-	if len(got) != len(want) {
-		t.Fatalf("downsample len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("downsample[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// width 1 is a copy
-	d1 := s.Downsample(1)
-	d1[0] = 42
-	if s[0] == 42 {
-		t.Error("Downsample(1) aliased input")
 	}
 }
 
@@ -102,7 +73,10 @@ func TestDTWShiftInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pointwise := MAPE(base, shifted, 1) // large
+	var pointwise float64 // large
+	for i := range base {
+		pointwise += math.Abs(shifted[i] - base[i])
+	}
 	if costDTW != 0 {
 		t.Errorf("DTW cost of shifted spikes = %v, want 0", costDTW)
 	}
@@ -385,34 +359,6 @@ func TestNormalizedError(t *testing.T) {
 	}
 	if NormalizedError(0.03, 0.05) != 0 {
 		t.Error("normalized error must floor at 0")
-	}
-}
-
-func TestMAPE(t *testing.T) {
-	ref := Series{10, 20}
-	target := Series{11, 18}
-	want := (0.1 + 0.1) / 2
-	if got := MAPE(ref, target, 1); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MAPE = %v, want %v", got, want)
-	}
-	if MAPE(nil, nil, 1) != 0 {
-		t.Error("empty MAPE must be 0")
-	}
-}
-
-func TestMAPENonNegativeProperty(t *testing.T) {
-	prop := func(seed uint64) bool {
-		r := rng.New(seed)
-		a := make(Series, 16)
-		b := make(Series, 16)
-		for i := range a {
-			a[i] = r.Gaussian(0, 100)
-			b[i] = r.Gaussian(0, 100)
-		}
-		return MAPE(a, b, 1) >= 0
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Catalogs as data: Spec is the JSON-serializable description of one CPU
 // event catalog — events with counter-placement constraints, linear
-// invariants, and derived metrics declared by expression kind — from which a
-// full *Catalog is built without recompiling. The named registry below lets
-// downstream layers (CLI -arch, sweeps) resolve catalogs by name, and new
-// architectures ship as .json files loadable with LoadSpecFile (see
-// examples/catalogs/zen.json).
+// invariants, and derived metrics declared by expression kind — and the
+// only way a *Catalog is built. The built-in catalogs are JSON files
+// embedded from catalogs/ (see catalogs.go); new architectures ship as
+// .json files loadable with LoadSpecFile (see examples/catalogs/zen.json).
+// The named registry below lets downstream layers (CLI -arch, sweeps)
+// resolve catalogs by name.
 package uarch
 
 import (
@@ -17,10 +18,9 @@ import (
 	"sync"
 )
 
-// Spec is the data form of a Catalog. It round-trips through JSON, and
-// Spec.Catalog reconstructs formulas from their declared kinds, so a
-// spec-built catalog's inference behavior is bit-identical to one assembled
-// by the Go builders.
+// Spec is the data form of a Catalog, decoded from JSON by LoadSpec.
+// Spec.Catalog resolves event names to IDs and builds each derived formula
+// from its declared kind.
 type Spec struct {
 	Arch          string         `json:"arch"`
 	FixedCounters int            `json:"fixed_counters"`
@@ -74,7 +74,13 @@ type DerivedSpec struct {
 
 // Catalog builds and validates the full catalog the spec describes.
 func (s Spec) Catalog() (*Catalog, error) {
-	c := newCatalog(s.Arch, s.FixedCounters, s.ProgCounters, s.MSRs)
+	c := &Catalog{
+		Arch:     s.Arch,
+		NumFixed: s.FixedCounters,
+		NumProg:  s.ProgCounters,
+		NumMSR:   s.MSRs,
+		byName:   make(map[string]EventID, len(s.Events)),
+	}
 	for _, e := range s.Events {
 		if _, dup := c.byName[e.Name]; dup {
 			return nil, fmt.Errorf("uarch: spec %s: duplicate event %q", s.Arch, e.Name)
@@ -89,6 +95,7 @@ func (s Spec) Catalog() (*Catalog, error) {
 			return nil, fmt.Errorf("uarch: spec %s: fixed event %s cannot declare programmable counters", s.Arch, e.Name)
 		}
 		ev := Event{
+			ID:         EventID(len(c.Events)),
 			Name:       e.Name,
 			Fixed:      e.Fixed,
 			FixedIndex: e.Slot,
@@ -103,17 +110,18 @@ func (s Spec) Catalog() (*Catalog, error) {
 		}
 		if !e.Fixed {
 			if len(e.Counters) == 0 {
-				ev.CounterMask = anyCtr(s.ProgCounters)
+				ev.CounterMask = uint(1)<<uint(s.ProgCounters) - 1
 			} else {
 				for _, ctr := range e.Counters {
 					if ctr < 0 || ctr >= bits.UintSize-1 {
 						return nil, fmt.Errorf("uarch: spec %s: event %s counter %d out of range", s.Arch, e.Name, ctr)
 					}
-					ev.CounterMask |= oneCtr(ctr)
+					ev.CounterMask |= uint(1) << uint(ctr)
 				}
 			}
 		}
-		c.addEvent(ev)
+		c.Events = append(c.Events, ev)
+		c.byName[ev.Name] = ev.ID
 	}
 	for _, r := range s.Relations {
 		rel := Relation{Name: r.Name, RelTol: r.RelTol, Desc: r.Desc}
@@ -144,13 +152,16 @@ func (s Spec) Catalog() (*Catalog, error) {
 			if scale == 0 { //bayesvet:bitwise exact zero means scale omitted in JSON; default to 1
 				scale = 1
 			}
-			c.Derived = append(c.Derived, newRatioDerived(d.Name, d.Desc, inputs[0], inputs[1], scale))
+			c.Derived = append(c.Derived, Derived{Name: d.Name, Inputs: inputs, Kind: KindRatio, Scale: scale, Desc: d.Desc})
 		case KindLinearRatio:
 			if len(d.Num) != len(inputs) || len(d.Den) != len(inputs) {
 				return nil, fmt.Errorf("uarch: spec %s: linear_ratio derived %s coefficient lengths %d/%d do not match %d inputs",
 					s.Arch, d.Name, len(d.Num), len(d.Den), len(inputs))
 			}
-			c.Derived = append(c.Derived, newLinearRatioDerived(d.Name, d.Desc, inputs, d.Num, d.Den))
+			c.Derived = append(c.Derived, Derived{
+				Name: d.Name, Inputs: inputs, Kind: KindLinearRatio,
+				Num: append([]float64(nil), d.Num...), Den: append([]float64(nil), d.Den...), Desc: d.Desc,
+			})
 		default:
 			return nil, fmt.Errorf("uarch: spec %s: derived %s has unknown kind %q", s.Arch, d.Name, d.Kind)
 		}
@@ -169,63 +180,6 @@ func (s Spec) MustCatalog() *Catalog {
 		panic(err)
 	}
 	return c
-}
-
-// Spec converts the catalog back to its data form. It fails only on derived
-// events declared as hand-written closures (empty Kind), which have no data
-// representation.
-func (c *Catalog) Spec() (Spec, error) {
-	s := Spec{
-		Arch:          c.Arch,
-		FixedCounters: c.NumFixed,
-		ProgCounters:  c.NumProg,
-		MSRs:          c.NumMSR,
-	}
-	full := anyCtr(c.NumProg)
-	for _, e := range c.Events {
-		es := EventSpec{Name: e.Name, Desc: e.Desc, NeedsMSR: e.NeedsMSR}
-		if e.Fixed {
-			es.Fixed = true
-			es.Slot = e.FixedIndex
-		} else if e.CounterMask != full {
-			for i := 0; i < c.NumProg; i++ {
-				if e.CounterMask&oneCtr(i) != 0 {
-					es.Counters = append(es.Counters, i)
-				}
-			}
-		}
-		if len(e.Model) > 0 {
-			es.Model = make(map[string]float64, len(e.Model))
-			for k, v := range e.Model {
-				es.Model[k] = v
-			}
-		}
-		s.Events = append(s.Events, es)
-	}
-	for _, r := range c.Rels {
-		rs := RelationSpec{Name: r.Name, RelTol: r.RelTol, Desc: r.Desc}
-		for _, t := range r.Terms {
-			rs.Terms = append(rs.Terms, TermSpec{Event: c.Event(t.Event).Name, Coeff: t.Coeff})
-		}
-		s.Relations = append(s.Relations, rs)
-	}
-	for i := range c.Derived {
-		d := &c.Derived[i]
-		if d.Kind == "" {
-			return Spec{}, fmt.Errorf("uarch: %s: derived %s is a hand-written closure and cannot be expressed as a spec", c.Arch, d.Name)
-		}
-		ds := DerivedSpec{Name: d.Name, Kind: d.Kind, Scale: d.Scale, Desc: d.Desc}
-		if d.Kind == KindRatio && ds.Scale == 1 { //bayesvet:bitwise scale 1 is the canonical no-op, stored exactly; omit from JSON
-			ds.Scale = 0 // omitted in JSON; Catalog() defaults it back to 1
-		}
-		ds.Num = append([]float64(nil), d.Num...)
-		ds.Den = append([]float64(nil), d.Den...)
-		for _, id := range d.Inputs {
-			ds.Inputs = append(ds.Inputs, c.Event(id).Name)
-		}
-		s.Derived = append(s.Derived, ds)
-	}
-	return s, nil
 }
 
 // LoadSpec decodes a catalog spec from JSON. Unknown fields are rejected so
@@ -252,13 +206,6 @@ func LoadSpecFile(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// Save writes the spec as indented JSON, the inverse of LoadSpec.
-func (s Spec) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // clone deep-copies the spec (slices and model maps), so registry entries
@@ -289,7 +236,7 @@ func (s Spec) clone() Spec {
 	return out
 }
 
-// The named catalog registry: built-in architectures register their specs at
+// The named catalog registry: the embedded built-in catalogs register at
 // init, and embedders can Register their own. All operations are safe for
 // concurrent use; specs are deep-copied on the way in and out, so mutating
 // a registered or looked-up spec never corrupts the registry.

@@ -5,8 +5,11 @@ package uarch_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,40 +21,50 @@ import (
 	"bayesperf/internal/uarch"
 )
 
-// roundTrip converts a builder catalog to its spec, through JSON bytes, and
-// back to a catalog.
-func roundTrip(t *testing.T, cat *uarch.Catalog) (uarch.Spec, *uarch.Catalog) {
+// builtinNames are the registry names of the embedded catalogs.
+var builtinNames = []string{"skylake", "power9"}
+
+// roundTrip checks that a built-in catalog's committed JSON file is in the
+// canonical form (its decoded spec re-encodes, 2-space indented, to the
+// same bytes) and survives decode → encode → decode unchanged. It returns
+// the registry's catalog and the one rebuilt from the re-decoded spec.
+func roundTrip(t *testing.T, name string) (cat, rebuilt *uarch.Catalog) {
 	t.Helper()
-	spec, err := cat.Spec()
+	file, err := os.ReadFile(filepath.Join("catalogs", name+".json"))
 	if err != nil {
-		t.Fatalf("%s: Spec: %v", cat.Arch, err)
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := spec.Save(&buf); err != nil {
-		t.Fatalf("%s: Save: %v", cat.Arch, err)
+	spec, ok := uarch.Lookup(name)
+	if !ok {
+		t.Fatalf("%s: not registered", name)
 	}
-	loaded, err := uarch.LoadSpec(&buf)
+	enc, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
-		t.Fatalf("%s: LoadSpec: %v", cat.Arch, err)
+		t.Fatalf("%s: encoding: %v", name, err)
+	}
+	if enc = append(enc, '\n'); !bytes.Equal(enc, file) {
+		t.Fatalf("%s: catalogs/%s.json is not in canonical form (decode and re-encode changes it)", name, name)
+	}
+	loaded, err := uarch.LoadSpec(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatalf("%s: LoadSpec: %v", name, err)
 	}
 	if !reflect.DeepEqual(spec, loaded) {
-		t.Fatalf("%s: spec did not survive the JSON round trip:\nbefore %+v\nafter  %+v", cat.Arch, spec, loaded)
+		t.Fatalf("%s: spec did not survive the JSON round trip:\nbefore %+v\nafter  %+v", name, spec, loaded)
 	}
-	rebuilt, err := loaded.Catalog()
+	rebuilt, err = loaded.Catalog()
 	if err != nil {
-		t.Fatalf("%s: Catalog from loaded spec: %v", cat.Arch, err)
+		t.Fatalf("%s: Catalog from loaded spec: %v", name, err)
 	}
-	if err := rebuilt.Validate(); err != nil {
-		t.Fatalf("%s: rebuilt catalog invalid: %v", cat.Arch, err)
-	}
-	return loaded, rebuilt
+	return spec.MustCatalog(), rebuilt
 }
 
-// TestSpecRoundTripShape: builder → Spec → JSON → LoadSpec preserves the
-// catalog structure exactly (events, masks, relations, derived metadata).
+// TestSpecRoundTripShape: embedded JSON → Spec → JSON → LoadSpec preserves
+// the catalog structure exactly (events, masks, relations, derived
+// metadata).
 func TestSpecRoundTripShape(t *testing.T) {
-	for _, cat := range uarch.Catalogs() {
-		_, rebuilt := roundTrip(t, cat)
+	for _, name := range builtinNames {
+		cat, rebuilt := roundTrip(t, name)
 		if rebuilt.Arch != cat.Arch || rebuilt.NumEvents() != cat.NumEvents() ||
 			rebuilt.NumFixed != cat.NumFixed || rebuilt.NumProg != cat.NumProg || rebuilt.NumMSR != cat.NumMSR {
 			t.Fatalf("%s: rebuilt catalog shape differs", cat.Arch)
@@ -81,19 +94,19 @@ func TestSpecRoundTripShape(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTripGroundTruth: the spec-loaded catalog produces the exact
-// ground-truth trace of the builder catalog (bit-identical model
+// TestSpecRoundTripGroundTruth: the round-tripped catalog produces the
+// exact ground-truth trace of the registry's (bit-identical model
 // evaluation), with zero invariant residuals on the truth vector.
 func TestSpecRoundTripGroundTruth(t *testing.T) {
-	for _, cat := range uarch.Catalogs() {
-		_, rebuilt := roundTrip(t, cat)
+	for _, name := range builtinNames {
+		cat, rebuilt := roundTrip(t, name)
 		wl := measure.DefaultWorkload(40)
 		trA := measure.GroundTruth(cat, wl, rng.New(9))
 		trB := measure.GroundTruth(rebuilt, wl, rng.New(9))
 		for id := range trA.Series {
 			for ti := range trA.Series[id] {
 				if trA.Series[id][ti] != trB.Series[id][ti] {
-					t.Fatalf("%s: event %d interval %d: builder %v vs spec %v",
+					t.Fatalf("%s: event %d interval %d: registry %v vs round trip %v",
 						cat.Arch, id, ti, trA.Series[id][ti], trB.Series[id][ti])
 				}
 			}
@@ -107,13 +120,14 @@ func TestSpecRoundTripGroundTruth(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTripPosteriorsBitIdentical is the acceptance criterion: the
-// builder-based and spec-loaded catalogs produce bit-identical graph
-// posteriors for the same observations, and bit-identical derived
-// posteriors through the reconstructed formulas.
+// TestSpecRoundTripPosteriorsBitIdentical: the registry's and the
+// round-tripped catalogs produce bit-identical graph posteriors for the same
+// observations, and bit-identical derived posteriors through the rebuilt
+// formulas. internal/graph's TestBuiltinCatalogGoldenWindow pins the
+// posteriors themselves.
 func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
-	for _, cat := range uarch.Catalogs() {
-		_, rebuilt := roundTrip(t, cat)
+	for _, name := range builtinNames {
+		cat, rebuilt := roundTrip(t, name)
 		r := rng.New(7)
 		tr := measure.GroundTruth(cat, measure.DefaultWorkload(60), r.Split())
 		mux := measure.Multiplex(tr, measure.DefaultMuxConfig(), r.Split())
@@ -154,9 +168,9 @@ func TestSpecRoundTripPosteriorsBitIdentical(t *testing.T) {
 // instead of building broken catalogs.
 func TestSpecCatalogErrors(t *testing.T) {
 	base := func() uarch.Spec {
-		s, err := uarch.Skylake().Spec()
-		if err != nil {
-			t.Fatal(err)
+		s, ok := uarch.Lookup("skylake")
+		if !ok {
+			t.Fatal("skylake not registered")
 		}
 		return s
 	}
@@ -202,6 +216,11 @@ func TestSpecCatalogErrors(t *testing.T) {
 		{"counters on a fixed event", func(s *uarch.Spec) {
 			s.Events[0].Counters = []int{0}
 		}, "cannot declare programmable counters"},
+		// An empty catalog used to build, then index out of range in the
+		// graph kernels on the first Execute.
+		{"no events", func(s *uarch.Spec) {
+			s.Events, s.Relations, s.Derived = nil, nil, nil
+		}, "no events"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -399,4 +418,35 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// FuzzSpec feeds arbitrary bytes through the catalog boundary: LoadSpec →
+// Spec.Catalog → graph.Compile → a one-lane Execute with every event
+// observed, and the derived posteriors of the result. Each input must end
+// in an error or run through without panicking. Finite posteriors are not
+// asserted: Validate accepts any finite coefficient, and one near the
+// float64 limit (1e308) still overflows to a NaN posterior. The seed
+// corpus under testdata/fuzz/FuzzSpec holds the four shipped catalogs and a
+// spec with no events.
+func FuzzSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := uarch.LoadSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		cat, err := spec.Catalog()
+		if err != nil {
+			return
+		}
+		batch := graph.Compile(cat).NewBatch(1)
+		batch.EnableCovariance()
+		for id := 0; id < cat.NumEvents(); id++ {
+			batch.Observe(0, uarch.EventID(id), 1e6*float64(id+1), 1e4)
+		}
+		res := batch.Execute(1, 50, 1e-9).Window(0)
+		for i := range cat.Derived {
+			res.DerivedPosterior(&cat.Derived[i])
+			res.DerivedPosteriorCov(&cat.Derived[i])
+		}
+	})
 }

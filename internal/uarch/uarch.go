@@ -42,10 +42,9 @@ type Event struct {
 	NeedsMSR bool
 	// Model grounds the event in the shared machine primitives of the
 	// simulated core (internal/measure): the event's value is the linear
-	// combination Σ Model[p]·primitive(p). Catalogs declared as data (JSON
-	// specs) carry their ground-truth semantics here instead of in compiled
-	// Go, which is what lets a catalog defined purely in JSON run end to
-	// end through the simulator.
+	// combination Σ Model[p]·primitive(p). Every catalog is a JSON spec, so
+	// its ground-truth semantics live here, which is what lets any catalog
+	// run end to end through the simulator.
 	Model map[string]float64
 	Desc  string
 }
@@ -86,135 +85,94 @@ func (r Relation) Magnitude(vals []float64) float64 {
 	return s / 2
 }
 
-// Expression kinds a Derived formula can be declared as when the catalog is
-// expressed as data (see Spec). Every built-in formula is one of these, so
-// catalogs round-trip through JSON without losing their derived events.
+// Expression kinds a Derived formula is declared as. A catalog is data (see
+// Spec), and every derived event is one of these.
 const (
 	// KindRatio is Scale·in[0]/in[1] with safeDiv's zero-denominator guard
-	// and the analytic ratioGrad gradient.
+	// and the analytic gradient (k/b, −k·a/b²).
 	KindRatio = "ratio"
-	// KindLinearRatio is ΣNum[i]·in[i] / ΣDen[i]·in[i] (safeDiv-guarded),
-	// with no analytic gradient: uncertainty propagation exercises the
-	// central-difference fallback, exactly as the builder catalogs do.
+	// KindLinearRatio is ΣNum[i]·in[i] / ΣDen[i]·in[i] (safeDiv-guarded).
+	// Its gradient is a central finite difference.
 	KindLinearRatio = "linear_ratio"
 )
 
 // Derived is a derived event (§2 "Errors in Derived Events"): a mathematical
-// combination of individual HPC values, e.g. IPC or Backend_Bound.
+// combination of individual HPC values, e.g. IPC or Backend_Bound. The
+// formula is plain data: Kind selects the expression, Scale parameterizes
+// KindRatio, and Num/Den weight KindLinearRatio's inputs.
 type Derived struct {
-	Name   string
-	Inputs []EventID
-	// Eval computes the derived value from the input event values, in
-	// Inputs order.
-	Eval func(in []float64) float64
-	// Grad, when declared, returns ∂Eval/∂inᵢ at in, in Inputs order.
-	// Formulas without an analytic gradient fall back to a central finite
-	// difference in Gradient.
-	Grad func(in []float64) []float64
-	// Kind, Scale, Num and Den are the data form of the formula (KindRatio
-	// or KindLinearRatio): the serialization metadata from which Eval/Grad
-	// were built. Empty Kind marks a hand-written closure that cannot be
-	// expressed as a Spec.
+	Name     string
+	Inputs   []EventID
 	Kind     string
 	Scale    float64
 	Num, Den []float64
 	Desc     string
 }
 
-// newRatioDerived builds the KindRatio formula scale·num/den with its
-// analytic gradient. Both the catalog builders and the Spec loader construct
-// ratios through here, so a spec-loaded catalog's formulas are bit-identical
-// to the builder's.
-func newRatioDerived(name, desc string, num, den EventID, scale float64) Derived {
-	return Derived{
-		Name:   name,
-		Inputs: []EventID{num, den},
-		Eval:   func(in []float64) float64 { return safeDiv(scale*in[0], in[1]) },
-		Grad:   ratioGrad(scale),
-		Kind:   KindRatio,
-		Scale:  scale,
-		Desc:   desc,
+// Eval computes the derived value from the input event values, in Inputs
+// order.
+//
+//bayesperf:hotpath
+func (d *Derived) Eval(in []float64) float64 {
+	if d.Kind == KindRatio {
+		return safeDiv(d.Scale*in[0], in[1])
 	}
+	var n, den float64
+	for i := range in {
+		n += d.Num[i] * in[i]
+		den += d.Den[i] * in[i]
+	}
+	return safeDiv(n, den)
 }
 
-// newLinearRatioDerived builds the KindLinearRatio formula
-// Σ num[i]·in[i] / Σ den[i]·in[i]. Grad stays nil on purpose: the builder
-// catalogs leave their weighted-sum ratios on the central-difference
-// fallback, and the spec loader must reproduce that bit for bit.
-func newLinearRatioDerived(name, desc string, inputs []EventID, num, den []float64) Derived {
-	num = append([]float64(nil), num...)
-	den = append([]float64(nil), den...)
-	return Derived{
-		Name:   name,
-		Inputs: append([]EventID(nil), inputs...),
-		Eval: func(in []float64) float64 {
-			var n, d float64
-			for i := range in {
-				n += num[i] * in[i]
-				d += den[i] * in[i]
-			}
-			return safeDiv(n, d)
-		},
-		Kind: KindLinearRatio,
-		Num:  num,
-		Den:  den,
-		Desc: desc,
-	}
-}
-
-// Gradient returns ∂Eval/∂inᵢ at in (Inputs order): the declared analytic
-// gradient when present, otherwise a central finite difference with a
-// per-coordinate step h = ε·max(|inᵢ|, 1). The fallback is exact for the
-// linear-fractional formulas used in the catalogs up to O(h²).
-func (d *Derived) Gradient(in []float64) []float64 {
-	if d.Grad != nil {
-		return d.Grad(in)
+// GradientInto writes ∂Eval/∂inᵢ at in (Inputs order) into dst[:len(in)]
+// and returns that slice. KindRatio is analytic, with the guard's flat
+// (0, 0) at a zero denominator, which carries no first-order information.
+// KindLinearRatio is a central finite difference with a per-coordinate step
+// h = ε·max(|inᵢ|, 1), exact for these linear-fractional formulas up to
+// O(h²): each coordinate of in is perturbed in place and restored before
+// the next, so in must not alias dst or be read concurrently.
+//
+//bayesperf:hotpath
+func (d *Derived) GradientInto(dst, in []float64) []float64 {
+	dst = dst[:len(in)]
+	if d.Kind == KindRatio {
+		a, b, k := in[0], in[1], d.Scale
+		if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
+			dst[0], dst[1] = 0, 0
+			return dst
+		}
+		dst[0], dst[1] = k/b, -k*a/(b*b)
+		return dst
 	}
 	const eps = 1e-6
-	g := make([]float64, len(in))
-	x := append([]float64(nil), in...)
-	for i := range x {
-		h := eps * math.Max(math.Abs(x[i]), 1)
-		orig := x[i]
-		x[i] = orig + h
-		fp := d.Eval(x)
-		x[i] = orig - h
-		fm := d.Eval(x)
-		x[i] = orig
-		g[i] = (fp - fm) / (2 * h)
+	for i, orig := range in {
+		h := eps * math.Max(math.Abs(orig), 1)
+		in[i] = orig + h
+		fp := d.Eval(in)
+		in[i] = orig - h
+		fm := d.Eval(in)
+		in[i] = orig
+		dst[i] = (fp - fm) / (2 * h)
 	}
-	return g
+	return dst
 }
 
-// PropagateStd applies the first-order delta method at the point in: the
-// std of Eval given per-input stds, treating the inputs as independent
-// (the factor graph exposes marginals only, so cross-covariances are not
-// available; the diagonal approximation is conservative for the
-// negatively-correlated ratio formulas here). Non-finite gradient
-// components — e.g. a finite difference straddling safeDiv's zero-
-// denominator guard — contribute nothing instead of poisoning the result.
-func (d *Derived) PropagateStd(in, std []float64) float64 {
-	g := d.Gradient(in)
-	var v float64
-	for i, gi := range g {
-		if math.IsNaN(gi) || math.IsInf(gi, 0) {
-			continue
-		}
-		t := gi * std[i]
-		v += t * t
-	}
-	return math.Sqrt(v)
-}
-
-// PropagateStdCov is the covariance-aware delta method: like PropagateStd,
-// but cross-input coupling enters through corr(i, j) — the posterior
-// correlation of inputs i and j (positions in Inputs order), as extracted
-// per relation clique by the factor graph. A nil corr, or one returning 0
-// for every pair, reproduces the diagonal PropagateStd bit for bit.
-// Correlations are clamped to [−1, 1] and the accumulated variance floored
-// at 0, so an inconsistent covariance model can never yield a NaN std.
-func (d *Derived) PropagateStdCov(in, std []float64, corr func(i, j int) float64) float64 {
-	g := d.Gradient(in)
+// PropagateStdCov applies the first-order delta method at the point in: the
+// std of Eval given per-input stds std and, through corr(i, j), the
+// posterior correlation of inputs i and j (positions in Inputs order), as
+// extracted per relation clique by the factor graph. A nil corr, or one
+// returning 0 for every pair, treats the inputs as independent. grad is
+// caller scratch of at least len(in) elements for the gradient, and in is
+// perturbed and restored as in GradientInto. Non-finite gradient components
+// — e.g. a finite difference straddling safeDiv's zero-denominator guard —
+// contribute nothing instead of poisoning the result. Correlations are
+// clamped to [−1, 1] and the accumulated variance floored at 0, so an
+// inconsistent covariance model can never yield a NaN std.
+//
+//bayesperf:hotpath
+func (d *Derived) PropagateStdCov(in, std, grad []float64, corr func(i, j int) float64) float64 {
+	g := d.GradientInto(grad, in)
 	var v float64
 	for i, gi := range g {
 		if math.IsNaN(gi) || math.IsInf(gi, 0) {
@@ -265,73 +223,6 @@ type Catalog struct {
 	byName map[string]EventID
 }
 
-// newCatalog starts a catalog builder.
-func newCatalog(arch string, numFixed, numProg, numMSR int) *Catalog {
-	return &Catalog{
-		Arch:     arch,
-		NumFixed: numFixed,
-		NumProg:  numProg,
-		NumMSR:   numMSR,
-		byName:   make(map[string]EventID),
-	}
-}
-
-func (c *Catalog) addEvent(e Event) EventID {
-	if _, dup := c.byName[e.Name]; dup {
-		panic(fmt.Sprintf("uarch: duplicate event %q in %s", e.Name, c.Arch))
-	}
-	e.ID = EventID(len(c.Events))
-	c.Events = append(c.Events, e)
-	c.byName[e.Name] = e.ID
-	return e.ID
-}
-
-// fixed registers a fixed-counter event at the given fixed slot.
-func (c *Catalog) fixed(name string, slot int, desc string) EventID {
-	return c.addEvent(Event{Name: name, Fixed: true, FixedIndex: slot, Desc: desc})
-}
-
-// prog registers a programmable event with the given counter mask.
-func (c *Catalog) prog(name string, mask uint, desc string) EventID {
-	return c.addEvent(Event{Name: name, CounterMask: mask, Desc: desc})
-}
-
-// progMSR registers a programmable event that also consumes an MSR.
-func (c *Catalog) progMSR(name string, mask uint, desc string) EventID {
-	return c.addEvent(Event{Name: name, CounterMask: mask, NeedsMSR: true, Desc: desc})
-}
-
-// relation registers a linear invariant by event name. Terms are given as
-// (coeff, name) pairs.
-func (c *Catalog) relation(name string, relTol float64, desc string, terms ...Term) {
-	c.Rels = append(c.Rels, Relation{Name: name, Terms: terms, RelTol: relTol, Desc: desc})
-}
-
-func (c *Catalog) derived(name, desc string, inputs []EventID, eval func([]float64) float64) {
-	c.Derived = append(c.Derived, Derived{Name: name, Inputs: inputs, Eval: eval, Desc: desc})
-}
-
-// derivedRatio registers a scale·num/den ratio formula (KindRatio) with its
-// analytic gradient.
-func (c *Catalog) derivedRatio(name, desc string, num, den EventID, scale float64) {
-	c.Derived = append(c.Derived, newRatioDerived(name, desc, num, den, scale))
-}
-
-// derivedLinear registers a weighted-sum-over-weighted-sum formula
-// (KindLinearRatio); gradient comes from the central-difference fallback.
-func (c *Catalog) derivedLinear(name, desc string, inputs []EventID, num, den []float64) {
-	c.Derived = append(c.Derived, newLinearRatioDerived(name, desc, inputs, num, den))
-}
-
-// setModels assigns each named event's ground-truth model (see Event.Model).
-// Unknown names panic: the builder catalogs call this at construction time
-// only, so a typo fails loudly in every test.
-func (c *Catalog) setModels(models map[string]map[string]float64) {
-	for name, m := range models { //bayesvet:maporder each iteration writes a distinct slice index keyed by event name; order-insensitive
-		c.Events[c.MustEvent(name)].Model = m
-	}
-}
-
 // Lookup returns the EventID for name, or InvalidEvent if unknown.
 func (c *Catalog) Lookup(name string) EventID {
 	if id, ok := c.byName[name]; ok {
@@ -341,7 +232,7 @@ func (c *Catalog) Lookup(name string) EventID {
 }
 
 // MustEvent returns the EventID for name, panicking if unknown. It is used
-// at catalog-construction and test time only.
+// at test time only.
 func (c *Catalog) MustEvent(name string) EventID {
 	id := c.Lookup(name)
 	if id == InvalidEvent {
@@ -403,11 +294,14 @@ func (c *Catalog) DerivedByName(name string) *Derived {
 	return nil
 }
 
-// Validate checks internal consistency of the catalog. It is called by the
-// constructors and exercised directly in tests.
+// Validate checks internal consistency of the catalog. Spec.Catalog calls
+// it on every catalog it builds.
 func (c *Catalog) Validate() error {
 	if c.NumFixed < 0 || c.NumProg <= 0 {
 		return fmt.Errorf("uarch: %s: need at least one programmable counter", c.Arch)
+	}
+	if len(c.Events) == 0 {
+		return fmt.Errorf("uarch: %s: catalog has no events", c.Arch)
 	}
 	// CounterMask is a uint, so a catalog can address at most UintSize−1
 	// programmable counters; beyond that the full-mask shift below would
@@ -456,16 +350,12 @@ func (c *Catalog) Validate() error {
 		}
 	}
 	for _, d := range c.Derived {
-		if d.Eval == nil {
-			return fmt.Errorf("uarch: %s: derived %s has no formula", c.Arch, d.Name)
-		}
 		for _, in := range d.Inputs {
 			if in < 0 || int(in) >= len(c.Events) {
 				return fmt.Errorf("uarch: %s: derived %s references unknown event %d", c.Arch, d.Name, in)
 			}
 		}
 		switch d.Kind {
-		case "": // hand-written closure: nothing more to check
 		case KindRatio:
 			if len(d.Inputs) != 2 {
 				return fmt.Errorf("uarch: %s: ratio derived %s needs 2 inputs, has %d", c.Arch, d.Name, len(d.Inputs))
@@ -497,46 +387,22 @@ func (c *Catalog) EvalDerived(d *Derived, vals []float64) float64 {
 
 // PosteriorFrom computes the derived event's (mean, std) from full
 // per-event posterior mean and std vectors (indexed by EventID): the value
-// at the posterior mean and the delta-method std (PropagateStd). It is the
-// single gather point shared by the batch (graph.Result) and any
-// vector-shaped caller, so a future covariance-aware propagation lands in
-// one place.
-func (d *Derived) PosteriorFrom(mean, std []float64) (dMean, dStd float64) {
-	in := make([]float64, len(d.Inputs))
-	sd := make([]float64, len(d.Inputs))
+// at the posterior mean and the delta-method std of PropagateStdCov, with
+// corr indexed by input position (nil for independent inputs).
+func (d *Derived) PosteriorFrom(mean, std []float64, corr func(i, j int) float64) (dMean, dStd float64) {
+	k := len(d.Inputs)
+	buf := make([]float64, 3*k)
+	in, sd := buf[:k], buf[k:2*k]
 	for i, id := range d.Inputs {
 		in[i] = mean[id]
 		sd[i] = std[id]
 	}
-	return d.Eval(in), d.PropagateStd(in, sd)
+	return d.Eval(in), d.PropagateStdCov(in, sd, buf[2*k:], corr)
 }
-
-// anyCtr returns the "any programmable counter" mask for n counters.
-func anyCtr(n int) uint { return uint(1)<<uint(n) - 1 }
-
-// loCtr returns the mask selecting the low k of n counters.
-func loCtr(k int) uint { return uint(1)<<uint(k) - 1 }
-
-// oneCtr returns the mask selecting exactly counter i.
-func oneCtr(i int) uint { return uint(1) << uint(i) }
 
 func safeDiv(a, b float64) float64 {
 	if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
 		return 0
 	}
 	return a / b
-}
-
-// ratioGrad returns the analytic gradient of the scaled ratio
-// f(a, b) = k·a/b under safeDiv's zero-denominator guard: (k/b, −k·a/b²),
-// and the guard's flat (0, 0) at b = 0 — a zero denominator carries no
-// first-order information.
-func ratioGrad(k float64) func(in []float64) []float64 {
-	return func(in []float64) []float64 {
-		a, b := in[0], in[1]
-		if b == 0 { //bayesvet:bitwise guard against exact-zero denominator
-			return []float64{0, 0}
-		}
-		return []float64{k / b, -k * a / (b * b)}
-	}
 }

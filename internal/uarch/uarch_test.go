@@ -3,6 +3,7 @@ package uarch
 import (
 	"math"
 	"math/bits"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -10,12 +11,23 @@ import (
 // validBase returns a minimal catalog that passes Validate, for the error
 // paths to perturb.
 func validBase() *Catalog {
-	c := newCatalog("test-arch", 1, 2, 0)
-	c.fixed("FIXED_A", 0, "")
-	c.prog("PROG_A", loCtr(2), "")
-	c.prog("PROG_B", oneCtr(1), "")
-	c.relation("rel", 1e-3, "", Term{0, 1}, Term{1, -1}, Term{2, -1})
+	c := &Catalog{Arch: "test-arch", NumFixed: 1, NumProg: 2}
+	addEvent(c, Event{Name: "FIXED_A", Fixed: true})
+	addEvent(c, Event{Name: "PROG_A", CounterMask: 0b11})
+	addEvent(c, Event{Name: "PROG_B", CounterMask: 0b10})
+	addRelation(c, "rel", 1e-3, Term{0, 1}, Term{1, -1}, Term{2, -1})
 	return c
+}
+
+// addEvent appends e to c with the next dense ID.
+func addEvent(c *Catalog, e Event) {
+	e.ID = EventID(len(c.Events))
+	c.Events = append(c.Events, e)
+}
+
+// addRelation appends the invariant Σ terms ≈ 0 to c.
+func addRelation(c *Catalog, name string, relTol float64, terms ...Term) {
+	c.Rels = append(c.Rels, Relation{Name: name, Terms: terms, RelTol: relTol})
 }
 
 func TestValidateAcceptsBase(t *testing.T) {
@@ -32,58 +44,58 @@ func TestValidateErrorPaths(t *testing.T) {
 	}{
 		{
 			"duplicate fixed slot",
-			func(c *Catalog) { c.fixed("FIXED_B", 0, "") },
+			func(c *Catalog) { addEvent(c, Event{Name: "FIXED_B", Fixed: true}) },
 			"fixed slot 0 claimed by both",
 		},
 		{
 			"fixed slot out of range",
-			func(c *Catalog) { c.fixed("FIXED_B", 7, "") },
+			func(c *Catalog) { addEvent(c, Event{Name: "FIXED_B", Fixed: true, FixedIndex: 7}) },
 			"out of range",
 		},
 		{
 			"empty counter mask",
-			func(c *Catalog) { c.addEvent(Event{Name: "PROG_C"}) },
+			func(c *Catalog) { addEvent(c, Event{Name: "PROG_C"}) },
 			"empty counter mask",
 		},
 		{
 			"oversized counter mask",
-			func(c *Catalog) { c.prog("PROG_C", 1<<5, "") },
+			func(c *Catalog) { addEvent(c, Event{Name: "PROG_C", CounterMask: 1 << 5}) },
 			"exceeds 2 counters",
 		},
 		{
 			"MSR event without MSR budget",
-			func(c *Catalog) { c.progMSR("PROG_MSR", loCtr(2), "") },
+			func(c *Catalog) { addEvent(c, Event{Name: "PROG_MSR", CounterMask: 0b11, NeedsMSR: true}) },
 			"needs an MSR but catalog has none",
 		},
 		{
 			"relation with <2 terms",
-			func(c *Catalog) { c.relation("short", 1e-3, "", Term{0, 1}) },
+			func(c *Catalog) { addRelation(c, "short", 1e-3, Term{0, 1}) },
 			"<2 terms",
 		},
 		{
 			"relation with non-positive tolerance",
-			func(c *Catalog) { c.relation("loose", 0, "", Term{0, 1}, Term{1, -1}) },
+			func(c *Catalog) { addRelation(c, "loose", 0, Term{0, 1}, Term{1, -1}) },
 			"non-positive tolerance",
 		},
 		{
 			"relation with unknown event",
-			func(c *Catalog) { c.relation("bad", 1e-3, "", Term{0, 1}, Term{99, -1}) },
+			func(c *Catalog) { addRelation(c, "bad", 1e-3, Term{0, 1}, Term{99, -1}) },
 			"unknown event",
 		},
 		{
 			"relation with zero coefficient",
-			func(c *Catalog) { c.relation("zero", 1e-3, "", Term{0, 1}, Term{1, 0}) },
+			func(c *Catalog) { addRelation(c, "zero", 1e-3, Term{0, 1}, Term{1, 0}) },
 			"zero coefficient",
 		},
 		{
 			"derived without formula",
 			func(c *Catalog) { c.Derived = append(c.Derived, Derived{Name: "d"}) },
-			"no formula",
+			`unknown kind ""`,
 		},
 		{
 			"derived with unknown input",
 			func(c *Catalog) {
-				c.derived("d", "", []EventID{42}, func(in []float64) float64 { return 0 })
+				c.Derived = append(c.Derived, Derived{Name: "d", Inputs: []EventID{42, 0}, Kind: KindRatio, Scale: 1})
 			},
 			"unknown event",
 		},
@@ -109,8 +121,8 @@ func TestValidateErrorPaths(t *testing.T) {
 // instead of silently accepting arbitrary masks.
 func TestValidateRejectsOversizedNumProg(t *testing.T) {
 	for _, numProg := range []int{bits.UintSize - 1, bits.UintSize, bits.UintSize + 1, 2 * bits.UintSize} {
-		c := newCatalog("test-arch", 0, numProg, 0)
-		c.prog("PROG_A", 1, "")
+		c := &Catalog{Arch: "test-arch", NumProg: numProg}
+		addEvent(c, Event{Name: "PROG_A", CounterMask: 1})
 		err := c.Validate()
 		if numProg <= bits.UintSize-1 {
 			if err != nil {
@@ -313,11 +325,27 @@ func TestEvalDerived(t *testing.T) {
 	}
 }
 
+// centralDifference is the reference gradient: ∂Eval/∂inᵢ by a central
+// difference on a private copy of in.
+func centralDifference(d *Derived, in []float64) []float64 {
+	x := append([]float64(nil), in...)
+	g := make([]float64, len(x))
+	for i, orig := range in {
+		h := 1e-6 * math.Max(math.Abs(orig), 1)
+		x[i] = orig + h
+		fp := d.Eval(x)
+		x[i] = orig - h
+		fm := d.Eval(x)
+		x[i] = orig
+		g[i] = (fp - fm) / (2 * h)
+	}
+	return g
+}
+
 // TestGradientAnalyticMatchesFallback checks, for every derived event in
-// both catalogs, that the declared analytic gradient agrees with the
-// central-difference fallback at a consistent operating point — and that
-// formulas without a declared gradient (Backend_Bound) produce a finite
-// fallback gradient.
+// both catalogs, that GradientInto agrees with a central difference at a
+// consistent operating point, is finite, and leaves its input unchanged
+// (the linear-ratio gradient perturbs in place and must restore it).
 func TestGradientAnalyticMatchesFallback(t *testing.T) {
 	for _, tc := range []struct {
 		cat  *Catalog
@@ -336,11 +364,13 @@ func TestGradientAnalyticMatchesFallback(t *testing.T) {
 			for i, id := range d.Inputs {
 				in[i] = tc.vals[id]
 			}
-			got := d.Gradient(in)
-			// Strip the analytic gradient and re-derive numerically.
-			numeric := Derived{Name: d.Name, Inputs: d.Inputs, Eval: d.Eval}
-			want := numeric.Gradient(in)
+			before := append([]float64(nil), in...)
+			got := d.GradientInto(make([]float64, len(in)), in)
+			want := centralDifference(d, in)
 			for i := range got {
+				if math.Float64bits(in[i]) != math.Float64bits(before[i]) {
+					t.Errorf("%s/%s: GradientInto changed in[%d] from %v to %v", tc.cat.Arch, d.Name, i, before[i], in[i])
+				}
 				if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
 					t.Errorf("%s/%s: gradient[%d] = %v", tc.cat.Arch, d.Name, i, got[i])
 				}
@@ -364,7 +394,7 @@ func TestPropagateStdGoldenIPC(t *testing.T) {
 		instr, sigI = 1.0e9, 1.0e7
 		cyc, sigC   = 8.0e8, 4.0e6
 	)
-	got := d.PropagateStd([]float64{instr, cyc}, []float64{sigI, sigC})
+	got := d.PropagateStdCov([]float64{instr, cyc}, []float64{sigI, sigC}, make([]float64, 2), nil)
 	want := math.Sqrt(math.Pow(sigI/cyc, 2) + math.Pow(instr*sigC/(cyc*cyc), 2))
 	if math.Abs(got-want) > 1e-12*want {
 		t.Errorf("IPC propagated std = %g, hand-computed %g", got, want)
@@ -393,9 +423,10 @@ func TestPropagateStdCovGoldenIPC(t *testing.T) {
 	)
 	in := []float64{instr, cyc}
 	sd := []float64{sigI, sigC}
-	diag := d.PropagateStd(in, sd)
+	g := make([]float64, 2)
+	diag := d.PropagateStdCov(in, sd, g, nil)
 	for _, rho := range []float64{0.8, -0.8} {
-		got := d.PropagateStdCov(in, sd, func(i, j int) float64 { return rho })
+		got := d.PropagateStdCov(in, sd, g, func(i, j int) float64 { return rho })
 		gI, gC := 1/cyc, -instr/(cyc*cyc)
 		want := math.Sqrt(gI*sigI*gI*sigI + gC*sigC*gC*sigC + 2*gI*sigI*gC*sigC*rho)
 		if math.Abs(got-want) > 1e-12*want {
@@ -409,27 +440,24 @@ func TestPropagateStdCovGoldenIPC(t *testing.T) {
 		}
 	}
 
-	// nil corr — and a corr that always reports independence — reproduce
-	// the diagonal propagation bit for bit.
-	if got := d.PropagateStdCov(in, sd, nil); got != diag {
-		t.Errorf("nil-corr covariance propagation %g != diagonal %g", got, diag)
-	}
-	if got := d.PropagateStdCov(in, sd, func(i, j int) float64 { return 0 }); got != diag {
+	// A corr that always reports independence reproduces the nil-corr
+	// diagonal propagation bit for bit.
+	if got := d.PropagateStdCov(in, sd, g, func(i, j int) float64 { return 0 }); got != diag {
 		t.Errorf("zero-corr covariance propagation %g != diagonal %g", got, diag)
 	}
 
 	// Out-of-range correlations clamp to ±1 instead of breaking the
 	// variance's positivity; the fully-cancelling direction floors at 0.
-	if got := d.PropagateStdCov(in, sd, func(i, j int) float64 { return 99 }); math.IsNaN(got) || got < 0 {
+	if got := d.PropagateStdCov(in, sd, g, func(i, j int) float64 { return 99 }); math.IsNaN(got) || got < 0 {
 		t.Errorf("clamped correlation produced std %v", got)
 	}
-	wantClamped := d.PropagateStdCov(in, sd, func(i, j int) float64 { return 1 })
-	if got := d.PropagateStdCov(in, sd, func(i, j int) float64 { return 99 }); got != wantClamped {
+	wantClamped := d.PropagateStdCov(in, sd, g, func(i, j int) float64 { return 1 })
+	if got := d.PropagateStdCov(in, sd, g, func(i, j int) float64 { return 99 }); got != wantClamped {
 		t.Errorf("rho=99 std %g != rho=1 std %g", got, wantClamped)
 	}
 	// NaN correlations are ignored (treated as uncoupled), never
 	// propagated.
-	if got := d.PropagateStdCov(in, sd, func(i, j int) float64 { return math.NaN() }); got != diag {
+	if got := d.PropagateStdCov(in, sd, g, func(i, j int) float64 { return math.NaN() }); got != diag {
 		t.Errorf("NaN-corr std %g != diagonal %g", got, diag)
 	}
 }
@@ -450,7 +478,7 @@ func TestDerivedZeroDenominator(t *testing.T) {
 			if v := cat.EvalDerived(d, zeros); v != 0 {
 				t.Errorf("%s/%s: Eval at zero vector = %v, want 0", cat.Arch, d.Name, v)
 			}
-			mean, std := d.PosteriorFrom(zeros, ones)
+			mean, std := d.PosteriorFrom(zeros, ones, nil)
 			if mean != 0 {
 				t.Errorf("%s/%s: PosteriorFrom mean at zero vector = %v, want 0", cat.Arch, d.Name, mean)
 			}
@@ -473,14 +501,53 @@ func TestPosteriorFromGathersInputs(t *testing.T) {
 	d := c.DerivedByName("DL1_MPKI")
 	in := []float64{v[d.Inputs[0]], v[d.Inputs[1]]}
 	sd := []float64{stds[d.Inputs[0]], stds[d.Inputs[1]]}
-	mean, std := d.PosteriorFrom(v, stds)
+	mean, std := d.PosteriorFrom(v, stds, nil)
 	if mean != d.Eval(in) {
 		t.Errorf("PosteriorFrom mean = %v, Eval = %v", mean, d.Eval(in))
 	}
-	if want := d.PropagateStd(in, sd); math.Abs(std-want) > 1e-15*want {
-		t.Errorf("PosteriorFrom std = %v, PropagateStd = %v", std, want)
+	if want := d.PropagateStdCov(in, sd, make([]float64, 2), nil); math.Abs(std-want) > 1e-15*want {
+		t.Errorf("PosteriorFrom std = %v, PropagateStdCov = %v", std, want)
 	}
 	if std <= 0 {
 		t.Errorf("PosteriorFrom std = %v, want > 0", std)
+	}
+}
+
+// TestDerivedMathAllocs: the derived-event math runs once per interval per
+// formula in the streaming engine's stitch step, so Eval, GradientInto and
+// PropagateStdCov must not allocate, on every derived event of all four
+// catalogs (the two built-ins and the two shipped JSON examples).
+func TestDerivedMathAllocs(t *testing.T) {
+	cats := Catalogs()
+	for _, file := range []string{"zen.json", "neoverse.json"} {
+		spec, err := LoadSpecFile(filepath.Join("..", "..", "examples", "catalogs", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cats = append(cats, spec.MustCatalog())
+	}
+	corr := func(i, j int) float64 { return 0.25 }
+	for _, cat := range cats {
+		for di := range cat.Derived {
+			d := &cat.Derived[di]
+			k := len(d.Inputs)
+			in, sd, grad := make([]float64, k), make([]float64, k), make([]float64, k)
+			for i := range in {
+				in[i] = 1e6 * float64(i+1)
+				sd[i] = 1e4 * float64(i+1)
+			}
+			for _, c := range []struct {
+				name string
+				fn   func()
+			}{
+				{"Eval", func() { d.Eval(in) }},
+				{"GradientInto", func() { d.GradientInto(grad, in) }},
+				{"PropagateStdCov", func() { d.PropagateStdCov(in, sd, grad, corr) }},
+			} {
+				if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+					t.Errorf("%s/%s: %s allocates %v times per call", cat.Arch, d.Name, c.name, n)
+				}
+			}
+		}
 	}
 }

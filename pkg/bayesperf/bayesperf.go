@@ -334,8 +334,8 @@ func (s *Session) Config() Config { return s.cfg.WithDefaults() }
 // bindCatalog resolves the catalog for a run: the session's, or — when the
 // session has none — the source's. A bound session rejects sources bound to
 // a different catalog, since EventIDs would not align; distinct instances
-// are accepted only when their event lists match name for name (e.g. the
-// builder catalog vs. its spec-loaded twin).
+// are accepted only when their event lists match name for name (e.g. two
+// catalogs built from the same spec).
 func (s *Session) bindCatalog(src Source) (*Catalog, error) {
 	sc := src.Catalog()
 	if s.cat == nil {

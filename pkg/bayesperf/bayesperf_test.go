@@ -15,10 +15,10 @@ import (
 
 const zenSpecPath = "../../examples/catalogs/zen.json"
 
-// TestBuilderAndSpecSessionsBitIdentical is the acceptance criterion at the
-// Session level: the builder-based Skylake catalog and the registry's
-// spec-loaded one produce bit-identical batch posteriors and bit-identical
-// streamed corrected series for the same seed.
+// TestBuilderAndSpecSessionsBitIdentical: at the Session level, the
+// uarch.Skylake() catalog and one built from the public registry's spec
+// are separate instances of the same data, and produce bit-identical batch
+// posteriors and bit-identical streamed corrected series for the same seed.
 func TestBuilderAndSpecSessionsBitIdentical(t *testing.T) {
 	builder := uarch.Skylake()
 	spec, ok := bayesperf.LookupCatalog("skylake")
@@ -502,7 +502,7 @@ func TestStreamDerivedUsesSessionCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Source carries the full builder catalog (4 derived events); event
+	// Source carries the full skylake catalog (4 derived events); event
 	// lists are identical so bindCatalog accepts it.
 	mux := bayesperf.DefaultMuxConfig()
 	src := bayesperf.NewSimSource(uarch.Skylake(), bayesperf.DefaultWorkload(30), mux, 5)
@@ -519,7 +519,7 @@ func TestStreamDerivedUsesSessionCatalog(t *testing.T) {
 // the public API (external embedders cannot import internal/measure).
 func TestValidateModelsExported(t *testing.T) {
 	if err := bayesperf.ValidateModels(uarch.Skylake()); err != nil {
-		t.Errorf("builder catalog failed model validation: %v", err)
+		t.Errorf("skylake catalog failed model validation: %v", err)
 	}
 	spec, _ := bayesperf.LookupCatalog("skylake")
 	spec.Events[0].Model = nil
